@@ -221,7 +221,7 @@ pub struct SafetyProof {
 
 impl SafetyProof {
     /// Engine stack capacities are clamped to this many cells.
-    pub const ENGINE_CLAMP: i64 = 1 << 20;
+    pub const ENGINE_CLAMP: i64 = stackcache_vm::stacks::DEPTH_CLAMP as i64;
 
     /// The strongest [`Checks`] level sound for running the proven
     /// program on `machine` (with its preset stacks and capacity limits).

@@ -16,6 +16,7 @@
 //! and the stack pointer is only touched on overflow/underflow
 //! (sp-update minimization, Section 3.1).
 
+use stackcache_vm::stacks::FlatStacks;
 use stackcache_vm::{Cell, Checks, Inst, Machine, Program, VmError, CELL_BYTES, FALSE, TRUE};
 
 use crate::interp::{RunStats, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
@@ -67,30 +68,37 @@ pub fn run_dyncache_with_checks(
     }
 }
 
-#[allow(clippy::too_many_lines)]
-#[allow(unused_assignments)] // the cache-state macros assign past the last use
 fn run_dyncache_mode<const MODE: u8>(
     program: &Program,
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<RunStats, VmError> {
+    // Adopt pre-set stack contents into memory (`buf` is the in-memory
+    // part of the data stack); the cache starts empty.
+    let mut st = FlatStacks::lease(machine, 0);
+    dyncache_loop::<MODE>(program, machine, fuel, &mut st)
+}
+
+/// The dispatch loop over the leased stack cells, kept out of line (see
+/// [`FlatStacks`]).
+#[inline(never)]
+#[allow(clippy::too_many_lines)]
+#[allow(unused_assignments)] // the cache-state macros assign past the last use
+fn dyncache_loop<const MODE: u8>(
+    program: &Program,
+    machine: &mut Machine,
+    fuel: u64,
+    st: &mut FlatStacks,
+) -> Result<RunStats, VmError> {
     let insts = program.insts();
-    let limit = machine.stack_limit().min(1 << 20);
-    let rlimit = machine.rstack_limit().min(1 << 20);
-    let mut buf = vec![0 as Cell; limit]; // in-memory part of the data stack
-    let mut rbuf = vec![0 as Cell; rlimit];
-    let mut rsp = machine.rstack().len();
-    rbuf[..rsp].copy_from_slice(machine.rstack());
+    let (limit, rlimit, mut sp, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
+    let (buf, rbuf) = st.cells_mut();
 
     // cache registers and state
     let mut r0: Cell = 0;
     let mut r1: Cell = 0;
     let mut r2: Cell = 0;
     let mut s: u8 = 0;
-
-    // Adopt pre-set stack contents into memory; the cache starts empty.
-    let mut sp = machine.stack().len();
-    buf[..sp].copy_from_slice(machine.stack());
 
     let mut ip = program.entry();
     let mut executed: u64 = 0;

@@ -27,6 +27,7 @@
 //! traps* bit-for-bit — run trap-free programs (all other behaviour is
 //! cross-validated against the reference interpreter).
 
+use stackcache_vm::stacks::FlatStacks;
 use stackcache_vm::{Cell, Cfg, Checks, Inst, Machine, Program, VmError, CELL_BYTES, FALSE, TRUE};
 
 use crate::interp::{RunStats, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
@@ -401,27 +402,32 @@ pub fn run_staticcache_with_checks(
     }
 }
 
-#[allow(clippy::too_many_lines)]
-#[allow(unused_assignments)] // the state-tracking macros assign past the last use
 fn run_staticcache_mode<const MODE: u8>(
     exe: &StaticExecutable,
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<RunStats, VmError> {
+    // zeroed sentinel cells below the user stack keep the canonical
+    // convention loadable at shallow depths
+    let mut st = FlatStacks::lease(machine, usize::from(exe.canonical));
+    static_loop::<MODE>(exe, machine, fuel, &mut st)
+}
+
+/// The dispatch loop over the leased stack cells, kept out of line (see
+/// [`FlatStacks`]).
+#[inline(never)]
+#[allow(clippy::too_many_lines)]
+#[allow(unused_assignments)] // the state-tracking macros assign past the last use
+fn static_loop<const MODE: u8>(
+    exe: &StaticExecutable,
+    machine: &mut Machine,
+    fuel: u64,
+    st: &mut FlatStacks,
+) -> Result<RunStats, VmError> {
     let code = &exe.code;
     let sentinels = usize::from(exe.canonical);
-    let limit = machine.stack_limit().min(1 << 20) + sentinels;
-    let rlimit = machine.rstack_limit().min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
-    let mut rsp = machine.rstack().len();
-    rbuf[..rsp].copy_from_slice(machine.rstack());
-
-    // sentinel cells below the user stack keep the canonical convention
-    // loadable at shallow depths
-    let preset = machine.stack().len();
-    buf[sentinels..sentinels + preset].copy_from_slice(machine.stack());
-    let mut sp = sentinels + preset;
+    let (limit, rlimit, mut sp, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
+    let (buf, rbuf) = st.cells_mut();
 
     let mut r0: Cell = 0;
     let mut r1: Cell = 0;

@@ -24,7 +24,8 @@ use std::fmt;
 
 use stackcache_core::staticcache::{self, StaticOptions, StaticRegime};
 use stackcache_core::Org;
-use stackcache_vm::{asm, exec, ExecObserver, Machine, Program};
+use stackcache_obs::{EventKind, FlightRecorder};
+use stackcache_vm::{asm, exec, ExecEvent, ExecObserver, Machine, Program};
 
 use crate::engines::{all_engines, MEMORY_BYTES};
 use crate::lockstep::{Fault, OrgCheck, TwoStacksCheck};
@@ -310,6 +311,26 @@ pub fn check_org_accounting(
 /// Heartbeats kept in the attached flight trail.
 const FLIGHT_TAIL: usize = 32;
 
+/// Records a `Progress` heartbeat for every executed instruction.
+struct EveryStep<'a> {
+    recorder: &'a FlightRecorder,
+    executed: u64,
+}
+
+impl ExecObserver for EveryStep<'_> {
+    fn event(&mut self, ev: &ExecEvent) {
+        self.executed += 1;
+        self.recorder.record(
+            0,
+            0,
+            EventKind::Progress {
+                executed: self.executed,
+                ip: ev.ip.min(u32::MAX as usize) as u32,
+            },
+        );
+    }
+}
+
 /// Re-run the reference execution of `program` under a flight-recorder
 /// tracer heartbeating every instruction, and render the trail's tail.
 ///
@@ -318,8 +339,11 @@ const FLIGHT_TAIL: usize = 32;
 /// a timeline to read the divergence's `index`/`ip` against.
 #[must_use]
 pub fn reference_flight_trail(program: &Program, fuel: u64) -> String {
-    let recorder = stackcache_obs::FlightRecorder::new(1, FLIGHT_TAIL);
-    let mut tracer = stackcache_obs::RingTracer::new(&recorder, 0, 0, 1);
+    let recorder = FlightRecorder::new(1, FLIGHT_TAIL);
+    let mut tracer = EveryStep {
+        recorder: &recorder,
+        executed: 0,
+    };
     let mut m = Machine::with_memory(MEMORY_BYTES);
     let result = exec::run_with_observer(program, &mut m, fuel, &mut tracer);
     let dump = recorder.dump();
@@ -330,7 +354,7 @@ pub fn reference_flight_trail(program: &Program, fuel: u64) -> String {
             Ok(_) => "halted".to_string(),
             Err(e) => format!("{e}"),
         },
-        tracer.executed()
+        tracer.executed
     ));
     s
 }

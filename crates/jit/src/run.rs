@@ -20,7 +20,8 @@
 use crate::cache::{self, stats_counter, Stat};
 use crate::compile::{JitProgram, KIND_FALLBACK, KIND_HALT, KIND_JUMP};
 use stackcache_vm::interp::{run_baseline_with_checks, RunStats};
-use stackcache_vm::stepper::{run_span, FlatStacks, SpanExit};
+use stackcache_vm::stacks::FlatStacks;
+use stackcache_vm::stepper::{run_span, SpanExit};
 use stackcache_vm::{Checks, Machine, Program, VmError};
 
 /// The native code's view of the machine, passed in `rdi`.
@@ -92,7 +93,7 @@ pub fn run_compiled(
     checks: Checks,
 ) -> Result<RunStats, VmError> {
     debug_assert_eq!(jp.checks(), checks);
-    let mut st = FlatStacks::from_machine(machine);
+    let mut st = FlatStacks::lease(machine, 0);
     let mut executed: u64 = 0;
     let mut ip = program.entry();
 

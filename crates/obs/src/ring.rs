@@ -234,8 +234,16 @@ impl FlightRecorder {
 
     /// Record `kind` for `request` on `ring` (clamped to the last ring).
     pub fn record(&self, ring: usize, request: u64, kind: EventKind) {
+        self.record_at(ring, request, self.now_nanos(), kind);
+    }
+
+    /// [`record`](FlightRecorder::record) stamped with an earlier
+    /// [`now_nanos`](FlightRecorder::now_nanos) reading: for an event
+    /// whose moment has passed by the time it can be recorded (another
+    /// thread may already have acted on it).
+    pub fn record_at(&self, ring: usize, request: u64, t_nanos: u64, kind: EventKind) {
         let ring = &self.rings[ring.min(self.rings.len() - 1)];
-        ring.record(encode(self.now_nanos(), request, kind));
+        ring.record(encode(t_nanos, request, kind));
     }
 
     /// Total events ever recorded across rings.
@@ -333,8 +341,7 @@ mod tests {
             })
         };
         let mut seen = 0usize;
-        for _ in 0..200 {
-            let dump = rec.dump();
+        let mut check = |dump: FlightDump| {
             for e in &dump.events {
                 if let EventKind::ExecuteEnd { executed } = e.kind {
                     assert_eq!(executed, e.request, "torn slot");
@@ -343,7 +350,13 @@ mod tests {
                     panic!("unexpected kind {:?}", e.kind);
                 }
             }
+        };
+        // keep dumping for as long as the writer runs (it may not have
+        // started yet), then once more after it has finished
+        while !writer.is_finished() {
+            check(rec.dump());
         }
+        check(rec.dump());
         writer.join().unwrap();
         assert!(seen > 0, "reader observed nothing");
     }

@@ -307,8 +307,10 @@ pub struct TraceConfig {
     pub ring_capacity: usize,
     /// Service-wide context events attached to each incident report.
     pub dump_last: usize,
-    /// Instructions between mid-run progress heartbeats on the
-    /// cancellable reference engine.
+    /// Instructions before the first mid-run progress heartbeat on the
+    /// cancellable reference engine; each later heartbeat comes after
+    /// twice as many as the one before. The stall detector's pulse
+    /// keeps this as its fixed period.
     pub progress_interval: u64,
 }
 
@@ -689,8 +691,10 @@ impl Service {
             None => leaders = items,
         }
 
-        // capture the admission metadata before the job moves into the
-        // queue (a racing worker may start serving it immediately)
+        // capture the admission metadata and moment before the job moves
+        // into the queue: a racing worker may start serving it (and
+        // trace its dequeue) before this thread records the admission
+        let admitted_at = self.shared.trace_clock();
         let admitted: Vec<(u64, u8, bool)> = leaders
             .iter()
             .map(|i| {
@@ -736,9 +740,10 @@ impl Service {
 
         if total > 1 {
             self.shared.metrics.on_batch(total as u64);
-            self.shared.trace(
+            self.shared.trace_at(
                 0,
                 first_id,
+                admitted_at,
                 EventKind::BatchBegin {
                     size: total.min(u32::MAX as usize) as u32,
                 },
@@ -747,14 +752,15 @@ impl Service {
         for (id, regime, peephole) in admitted {
             self.shared.metrics.on_submitted();
             self.shared
-                .trace(0, id, EventKind::Admitted { regime, peephole });
+                .trace_at(0, id, admitted_at, EventKind::Admitted { regime, peephole });
         }
         for (_, (id, regime, peephole), leader) in joins {
             self.shared.metrics.on_submitted();
             self.shared.metrics.on_coalesced_join();
             self.shared
-                .trace(0, id, EventKind::Admitted { regime, peephole });
-            self.shared.trace(0, id, EventKind::CoalesceJoin { leader });
+                .trace_at(0, id, admitted_at, EventKind::Admitted { regime, peephole });
+            self.shared
+                .trace_at(0, id, admitted_at, EventKind::CoalesceJoin { leader });
         }
         Ok(())
     }

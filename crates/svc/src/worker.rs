@@ -256,6 +256,20 @@ impl Shared {
             t.recorder.record(ring, request, kind);
         }
     }
+
+    /// The flight recorder's clock (0 when tracing is off), for
+    /// [`trace_at`](Shared::trace_at).
+    pub(crate) fn trace_clock(&self) -> u64 {
+        self.tracing.as_ref().map_or(0, |t| t.recorder.now_nanos())
+    }
+
+    /// [`trace`](Shared::trace) stamped with an earlier
+    /// [`trace_clock`](Shared::trace_clock) reading.
+    pub(crate) fn trace_at(&self, ring: usize, request: u64, t_nanos: u64, kind: EventKind) {
+        if let Some(t) = &self.tracing {
+            t.recorder.record_at(ring, request, t_nanos, kind);
+        }
+    }
 }
 
 /// Largest proven fuel bound the deadline-elision path accepts: a bound

@@ -43,6 +43,7 @@ use crate::error::VmError;
 use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
 use crate::machine::Machine;
 use crate::program::Program;
+use crate::stacks::FlatStacks;
 
 /// Longest opcode sequence a plan may fuse.
 pub const MAX_SEQ: usize = 8;
@@ -437,23 +438,31 @@ fn flag(b: bool) -> Cell {
 /// loop dispatching once per fused group. With `quick` set, the dispatch
 /// map is read through the quickening slots and rewritten after first
 /// execution.
-#[allow(clippy::too_many_lines)]
 fn run_group_mode<const MODE: u8>(
     fused: &FusedProgram,
     quick: Option<&[AtomicU8]>,
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<FusedStats, VmError> {
+    let mut st = FlatStacks::lease(machine, 0);
+    group_loop::<MODE>(fused, quick, machine, fuel, &mut st)
+}
+
+/// The dispatch loop over the leased stack cells, kept out of line (see
+/// [`FlatStacks`]).
+#[inline(never)]
+#[allow(clippy::too_many_lines)]
+fn group_loop<const MODE: u8>(
+    fused: &FusedProgram,
+    quick: Option<&[AtomicU8]>,
+    machine: &mut Machine,
+    fuel: u64,
+    st: &mut FlatStacks,
+) -> Result<FusedStats, VmError> {
     let insts = fused.program.insts();
     let group_len = &fused.group_len;
-    let limit = machine.stack_limit.min(1 << 20);
-    let rlimit = machine.rstack_limit.min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
-    let mut sp = machine.stack.len();
-    buf[..sp].copy_from_slice(&machine.stack);
-    let mut rsp = machine.rstack.len();
-    rbuf[..rsp].copy_from_slice(&machine.rstack);
+    let (limit, rlimit, mut sp, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
+    let (buf, rbuf) = st.cells_mut();
 
     let mut ip = fused.program.entry();
     let mut stats = FusedStats {

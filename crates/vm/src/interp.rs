@@ -26,6 +26,7 @@ use crate::error::VmError;
 use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
 use crate::machine::Machine;
 use crate::program::Program;
+use crate::stacks::FlatStacks;
 
 /// Outcome of a wall-clock interpreter run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,16 +88,23 @@ fn run_baseline_mode<const MODE: u8>(
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<RunStats, VmError> {
-    let insts = program.insts();
-    let limit = machine.stack_limit.min(1 << 20);
-    let rlimit = machine.rstack_limit.min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
     // Adopt any pre-set stack contents.
-    let mut sp = machine.stack.len();
-    buf[..sp].copy_from_slice(&machine.stack);
-    let mut rsp = machine.rstack.len();
-    rbuf[..rsp].copy_from_slice(&machine.rstack);
+    let mut st = FlatStacks::lease(machine, 0);
+    baseline_loop::<MODE>(program, machine, fuel, &mut st)
+}
+
+/// The dispatch loop over the leased stack cells, kept out of line (see
+/// [`FlatStacks`]).
+#[inline(never)]
+fn baseline_loop<const MODE: u8>(
+    program: &Program,
+    machine: &mut Machine,
+    fuel: u64,
+    st: &mut FlatStacks,
+) -> Result<RunStats, VmError> {
+    let insts = program.insts();
+    let (limit, rlimit, mut sp, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
+    let (buf, rbuf) = st.cells_mut();
 
     let mut ip = program.entry();
     let mut executed: u64 = 0;
@@ -573,25 +581,31 @@ pub fn run_tos_with_checks(
     }
 }
 
-#[allow(clippy::too_many_lines)]
 fn run_tos_mode<const MODE: u8>(
     program: &Program,
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<RunStats, VmError> {
-    let insts = program.insts();
-    let limit = machine.stack_limit.min(1 << 20);
-    let rlimit = machine.rstack_limit.min(1 << 20);
-    let mut buf = vec![0 as Cell; limit];
-    let mut rbuf = vec![0 as Cell; rlimit];
+    let mut st = FlatStacks::lease(machine, 0);
+    tos_loop::<MODE>(program, machine, fuel, &mut st)
+}
 
+/// The dispatch loop over the leased stack cells, kept out of line (see
+/// [`FlatStacks`]).
+#[inline(never)]
+#[allow(clippy::too_many_lines)]
+fn tos_loop<const MODE: u8>(
+    program: &Program,
+    machine: &mut Machine,
+    fuel: u64,
+    st: &mut FlatStacks,
+) -> Result<RunStats, VmError> {
+    let insts = program.insts();
     // `depth` counts all items; items 0..depth-1 are live, with item
     // depth-1 held in `tos` (its memory slot is stale).
-    let mut depth = machine.stack.len();
-    buf[..depth].copy_from_slice(&machine.stack);
+    let (limit, rlimit, mut depth, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
+    let (buf, rbuf) = st.cells_mut();
     let mut tos: Cell = if depth > 0 { buf[depth - 1] } else { 0 };
-    let mut rsp = machine.rstack.len();
-    rbuf[..rsp].copy_from_slice(&machine.rstack);
 
     let mut ip = program.entry();
     let mut executed: u64 = 0;

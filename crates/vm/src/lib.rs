@@ -46,6 +46,7 @@ mod machine;
 pub mod peephole;
 mod program;
 pub mod rng;
+pub mod stacks;
 pub mod stepper;
 mod verify;
 

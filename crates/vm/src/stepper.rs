@@ -18,60 +18,7 @@ use crate::error::VmError;
 use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
 use crate::machine::Machine;
 use crate::program::Program;
-
-/// Flat interpreter stack state, owned by the caller so it survives
-/// across spans (and across native block executions in a JIT driver).
-///
-/// `buf[..sp]` / `rbuf[..rsp]` are the live data and return stacks,
-/// bottom first — the same dense representation the wall-clock
-/// interpreters use internally. `limit`/`rlimit` carry the machine's
-/// depth limits with the interpreters' `1 << 20` clamp already applied,
-/// and equal the buffer lengths.
-#[derive(Debug, Clone)]
-pub struct FlatStacks {
-    /// Data-stack cells; `buf[..sp]` are live.
-    pub buf: Vec<Cell>,
-    /// Data-stack depth.
-    pub sp: usize,
-    /// Return-stack cells; `rbuf[..rsp]` are live.
-    pub rbuf: Vec<Cell>,
-    /// Return-stack depth.
-    pub rsp: usize,
-    /// Maximum data-stack depth (clamped); equals `buf.len()`.
-    pub limit: usize,
-    /// Maximum return-stack depth (clamped); equals `rbuf.len()`.
-    pub rlimit: usize,
-}
-
-impl FlatStacks {
-    /// Adopt `machine`'s current stacks into flat buffers, exactly as
-    /// the wall-clock interpreters do on entry.
-    #[must_use]
-    pub fn from_machine(machine: &Machine) -> FlatStacks {
-        let limit = machine.stack_limit().min(1 << 20);
-        let rlimit = machine.rstack_limit().min(1 << 20);
-        let mut buf = vec![0 as Cell; limit];
-        let mut rbuf = vec![0 as Cell; rlimit];
-        let sp = machine.stack().len();
-        buf[..sp].copy_from_slice(machine.stack());
-        let rsp = machine.rstack().len();
-        rbuf[..rsp].copy_from_slice(machine.rstack());
-        FlatStacks {
-            buf,
-            sp,
-            rbuf,
-            rsp,
-            limit,
-            rlimit,
-        }
-    }
-
-    /// Publish the flat stacks back into `machine` (what `halt` does).
-    pub fn publish(&self, machine: &mut Machine) {
-        machine.set_stack(&self.buf[..self.sp]);
-        machine.set_rstack(&self.rbuf[..self.rsp]);
-    }
-}
+use crate::stacks::FlatStacks;
 
 /// Why [`run_span`] stopped without trapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,8 +93,8 @@ fn run_span_mode<const MODE: u8>(
     let insts = program.insts();
     let limit = st.limit;
     let rlimit = st.rlimit;
-    let buf = &mut st.buf;
-    let rbuf = &mut st.rbuf;
+    let buf = &mut st.buf[..limit];
+    let rbuf = &mut st.rbuf[..rlimit];
     let mut sp = st.sp;
     let mut rsp = st.rsp;
 
@@ -622,7 +569,7 @@ pub fn run_spans(
     fuel: u64,
     checks: Checks,
 ) -> Result<crate::interp::RunStats, VmError> {
-    let mut st = FlatStacks::from_machine(machine);
+    let mut st = FlatStacks::lease(machine, 0);
     let mut ip = program.entry();
     let mut executed = 0u64;
     loop {
@@ -726,7 +673,7 @@ mod tests {
     fn stop_boundary_splits_straightline_code() {
         let p = program_of(&[Inst::Lit(1), Inst::Lit(2), Inst::Add, Inst::Halt]);
         let mut m = Machine::with_memory(64);
-        let mut st = FlatStacks::from_machine(&m);
+        let mut st = FlatStacks::lease(&m, 0);
         let mut executed = 0;
         // stop after two instructions, mid-block
         let exit = run_span(&p, &mut m, &mut st, 0, 2, 100, &mut executed, Checks::Full).unwrap();
@@ -753,7 +700,7 @@ mod tests {
     fn fuel_exhaustion_reports_entry_ip() {
         let p = program_of(&[Inst::Lit(1), Inst::Halt]);
         let mut m = Machine::with_memory(64);
-        let mut st = FlatStacks::from_machine(&m);
+        let mut st = FlatStacks::lease(&m, 0);
         let mut executed = 5;
         let err = run_span(
             &p,
