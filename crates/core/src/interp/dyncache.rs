@@ -17,18 +17,9 @@
 //! (sp-update minimization, Section 3.1).
 
 use stackcache_vm::stacks::FlatStacks;
-use stackcache_vm::{Cell, Checks, Inst, Machine, Program, VmError, CELL_BYTES, FALSE, TRUE};
+use stackcache_vm::{flag, Cell, Checks, Inst, Machine, Program, VmError, CELL_BYTES};
 
 use crate::interp::{RunStats, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
-
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
 
 /// Run `program` with the dynamically stack-cached interpreter.
 ///
@@ -285,7 +276,7 @@ fn dyncache_loop<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 let a = pop_val!();
-                push_val!(a.div_euclid(b));
+                push_val!(a.wrapping_div_euclid(b));
             }
             Inst::Mod => {
                 let b = pop_val!();
@@ -293,7 +284,7 @@ fn dyncache_loop<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 let a = pop_val!();
-                push_val!(a.rem_euclid(b));
+                push_val!(a.wrapping_rem_euclid(b));
             }
             Inst::And => binop!(|a: Cell, b: Cell| a & b),
             Inst::Or => binop!(|a: Cell, b: Cell| a | b),

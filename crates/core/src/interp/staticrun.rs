@@ -28,7 +28,7 @@
 //! cross-validated against the reference interpreter).
 
 use stackcache_vm::stacks::FlatStacks;
-use stackcache_vm::{Cell, Cfg, Checks, Inst, Machine, Program, VmError, CELL_BYTES, FALSE, TRUE};
+use stackcache_vm::{flag, Cell, Cfg, Checks, Inst, Machine, Program, VmError, CELL_BYTES};
 
 use crate::interp::{RunStats, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 
@@ -351,15 +351,6 @@ pub fn compile_static(program: &Program, canonical: u8) -> StaticExecutable {
         entry,
         canonical,
         stats,
-    }
-}
-
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
     }
 }
 
@@ -717,9 +708,9 @@ fn static_loop<const MODE: u8>(
                 // result goes where POP2_NAT's next push would put it:
                 // states with nat 0 -> r0, nat 1 -> r1
                 if POP2_NAT[sin as usize] == 0 {
-                    r0 = a.div_euclid(b);
+                    r0 = a.wrapping_div_euclid(b);
                 } else {
-                    r1 = a.div_euclid(b);
+                    r1 = a.wrapping_div_euclid(b);
                 }
             }
             Inst::Mod => {
@@ -728,9 +719,9 @@ fn static_loop<const MODE: u8>(
                     return Err(VmError::DivisionByZero { ip: cur });
                 }
                 if POP2_NAT[sin as usize] == 0 {
-                    r0 = a.rem_euclid(b);
+                    r0 = a.wrapping_rem_euclid(b);
                 } else {
-                    r1 = a.rem_euclid(b);
+                    r1 = a.wrapping_rem_euclid(b);
                 }
             }
             Inst::And => binop!(|a: Cell, b: Cell| a & b),

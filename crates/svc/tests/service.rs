@@ -3,10 +3,10 @@
 //! rejections, backpressure rejects at admission, and shutdown drains.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use stackcache_core::EngineRegime;
-use stackcache_svc::{Rejection, Reply, Request, Service, ServiceConfig, SubmitError};
+use stackcache_svc::{Rejection, Reply, Request, Service, ServiceConfig, SubmitError, Ticket};
 use stackcache_vm::{program_of, Inst, Program, ProgramBuilder};
 
 fn config(workers: usize, queue: usize) -> ServiceConfig {
@@ -158,6 +158,59 @@ fn traps_are_outcomes_not_rejections() {
     }
     let m = svc.shutdown();
     assert_eq!(m.regimes[EngineRegime::Dyncache.index()].traps, 1);
+}
+
+/// The ticket's reply, or `None` if none arrives within `limit` — a dead
+/// worker would leave [`Ticket::wait`] blocked forever.
+fn wait_for(t: &Ticket, limit: Duration) -> Option<Reply> {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(reply) = t.try_wait() {
+            return Some(reply);
+        }
+        if Instant::now() >= deadline {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn overflowing_division_completes_and_the_worker_survives() {
+    // i64::MIN / -1 wraps to MIN (remainder 0) in every regime; a
+    // panicking engine would take the only worker down with it
+    let svc = Service::start(config(1, 64));
+    for (op, expect) in [(Inst::Div, i64::MIN), (Inst::Mod, 0)] {
+        let p = Arc::new(program_of(&[
+            Inst::Lit(i64::MIN),
+            Inst::Lit(-1),
+            op,
+            Inst::Halt,
+        ]));
+        for regime in EngineRegime::ALL {
+            let t = svc
+                .submit(Request::new(Arc::clone(&p), regime))
+                .expect("admitted");
+            match wait_for(&t, Duration::from_secs(10)) {
+                Some(Reply::Completed(c)) => {
+                    assert_eq!(c.outcome.trap, None, "{op} {}", regime.name());
+                    assert_eq!(c.outcome.stack, [expect], "{op} {}", regime.name());
+                }
+                other => panic!(
+                    "{op} {}: expected a completed run, got {other:?}",
+                    regime.name()
+                ),
+            }
+        }
+    }
+    let t = svc
+        .submit(Request::new(square(3), EngineRegime::Baseline))
+        .expect("admitted");
+    match wait_for(&t, Duration::from_secs(10)) {
+        Some(Reply::Completed(c)) => assert_eq!(c.outcome.output, b"9 "),
+        other => panic!("the next request must complete, got {other:?}"),
+    }
+    svc.shutdown();
 }
 
 #[test]

@@ -14,7 +14,7 @@
 
 use crate::checks::{Checks, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 use crate::error::VmError;
-use crate::inst::{perm, Cell, EffectKind, Inst, CELL_BYTES, FALSE, TRUE};
+use crate::inst::{flag, perm, Cell, EffectKind, Inst, CELL_BYTES};
 use crate::machine::Machine;
 use crate::program::Program;
 
@@ -332,7 +332,7 @@ fn run_observer_mode<const MODE: u8, O: ExecObserver + ?Sized>(
                 if b == 0 {
                     return Err(VmError::DivisionByZero { ip: cur_ip });
                 }
-                push!(a.div_euclid(b));
+                push!(a.wrapping_div_euclid(b));
             }
             Inst::Mod => {
                 let b = pop!();
@@ -340,7 +340,7 @@ fn run_observer_mode<const MODE: u8, O: ExecObserver + ?Sized>(
                 if b == 0 {
                     return Err(VmError::DivisionByZero { ip: cur_ip });
                 }
-                push!(a.rem_euclid(b));
+                push!(a.wrapping_rem_euclid(b));
             }
             Inst::And => binop!(|a: Cell, b: Cell| a & b),
             Inst::Or => binop!(|a: Cell, b: Cell| a | b),
@@ -755,18 +755,10 @@ fn run_observer_mode<const MODE: u8, O: ExecObserver + ?Sized>(
     }
 }
 
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::{FALSE, TRUE};
     use crate::program::{program_of, ProgramBuilder};
 
     fn run_insts(insts: &[Inst]) -> Machine {

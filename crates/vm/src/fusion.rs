@@ -40,9 +40,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 
 use crate::checks::{Checks, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 use crate::error::VmError;
-use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
+use crate::inst::Inst;
 use crate::machine::Machine;
 use crate::program::Program;
+use crate::sem::{step, Flow};
 use crate::stacks::FlatStacks;
 
 /// Longest opcode sequence a plan may fuse.
@@ -424,18 +425,9 @@ pub fn run_quickened_with_checks(
     }
 }
 
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
-
 /// The group-dispatch interpreter: the baseline interpreter's semantics
-/// (Fig. 11 stack discipline, identical trap behaviour) with the outer
-/// loop dispatching once per fused group. With `quick` set, the dispatch
+/// ([`crate::sem::step`], identical trap behaviour) with the outer loop
+/// dispatching once per fused group. With `quick` set, the dispatch
 /// map is read through the quickening slots and rewritten after first
 /// execution.
 fn run_group_mode<const MODE: u8>(
@@ -449,9 +441,8 @@ fn run_group_mode<const MODE: u8>(
 }
 
 /// The dispatch loop over the leased stack cells, kept out of line (see
-/// [`FlatStacks`]).
+/// [`FlatStacks`]): one dispatch per group, one [`step`] per member.
 #[inline(never)]
-#[allow(clippy::too_many_lines)]
 fn group_loop<const MODE: u8>(
     fused: &FusedProgram,
     quick: Option<&[AtomicU8]>,
@@ -461,74 +452,13 @@ fn group_loop<const MODE: u8>(
 ) -> Result<FusedStats, VmError> {
     let insts = fused.program.insts();
     let group_len = &fused.group_len;
-    let (limit, rlimit, mut sp, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
-    let (buf, rbuf) = st.cells_mut();
-
+    let mut s = st.flat::<MODE>();
     let mut ip = fused.program.entry();
     let mut stats = FusedStats {
         executed: 0,
         dispatches: 0,
         quickened: 0,
     };
-
-    macro_rules! pop {
-        ($cur:expr) => {{
-            if MODE == CHECK_FULL && sp == 0 {
-                return Err(VmError::StackUnderflow { ip: $cur });
-            }
-            sp -= 1;
-            buf[sp]
-        }};
-    }
-    macro_rules! push {
-        ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && sp >= limit {
-                return Err(VmError::StackOverflow { ip: $cur });
-            }
-            buf[sp] = $v;
-            sp += 1;
-        }};
-    }
-    macro_rules! need {
-        ($cur:expr, $n:expr) => {
-            if MODE == CHECK_FULL && sp < $n {
-                return Err(VmError::StackUnderflow { ip: $cur });
-            }
-        };
-    }
-    macro_rules! rpop {
-        ($cur:expr) => {{
-            if MODE == CHECK_FULL && rsp == 0 {
-                return Err(VmError::ReturnStackUnderflow { ip: $cur });
-            }
-            rsp -= 1;
-            rbuf[rsp]
-        }};
-    }
-    macro_rules! rpush {
-        ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && rsp >= rlimit {
-                return Err(VmError::ReturnStackOverflow { ip: $cur });
-            }
-            rbuf[rsp] = $v;
-            rsp += 1;
-        }};
-    }
-    macro_rules! binop {
-        ($cur:expr, $f:expr) => {{
-            need!($cur, 2);
-            let b = buf[sp - 1];
-            let a = buf[sp - 2];
-            buf[sp - 2] = $f(a, b);
-            sp -= 1;
-        }};
-    }
-    macro_rules! unop {
-        ($cur:expr, $f:expr) => {{
-            need!($cur, 1);
-            buf[sp - 1] = $f(buf[sp - 1]);
-        }};
-    }
 
     loop {
         // ---- one dispatch per group -----------------------------------
@@ -542,12 +472,11 @@ fn group_loop<const MODE: u8>(
         let glen = match quick {
             Some(map) => {
                 let current = map[ip].load(Ordering::Relaxed);
-                let planned = group_len[ip];
-                if current == 1 && planned > 1 {
+                if current == 1 && group_len[ip] > 1 {
                     // quicken: rewrite this site in place after its first
                     // execution (the store is idempotent — every racer
                     // derives the same byte from the immutable plan)
-                    map[ip].store(planned, Ordering::Relaxed);
+                    map[ip].store(group_len[ip], Ordering::Relaxed);
                     stats.quickened += 1;
                 }
                 current as usize
@@ -557,376 +486,19 @@ fn group_loop<const MODE: u8>(
         stats.dispatches += 1;
 
         // ---- the single handler executes the whole group --------------
-        for _ in 0..glen {
-            if stats.executed >= fuel {
-                return Err(VmError::FuelExhausted { ip });
-            }
+        // Fuel is charged once per group, for as many members as it
+        // affords; a group cut short traps at its next member on the
+        // check above, at the ip the reference reports. Only a length-1
+        // group can halt, so a returned count is always exact.
+        let run = (fuel - stats.executed).min(glen as u64);
+        stats.executed += run;
+        for _ in 0..run {
             let inst = insts[ip];
-            stats.executed += 1;
             let cur = ip;
             ip += 1;
-            match inst {
-                Inst::Lit(n) => push!(cur, n),
-                Inst::Add => binop!(cur, |a: Cell, b: Cell| a.wrapping_add(b)),
-                Inst::Sub => binop!(cur, |a: Cell, b: Cell| a.wrapping_sub(b)),
-                Inst::Mul => binop!(cur, |a: Cell, b: Cell| a.wrapping_mul(b)),
-                Inst::Div => {
-                    need!(cur, 2);
-                    let b = buf[sp - 1];
-                    let a = buf[sp - 2];
-                    if b == 0 {
-                        return Err(VmError::DivisionByZero { ip: cur });
-                    }
-                    buf[sp - 2] = a.div_euclid(b);
-                    sp -= 1;
-                }
-                Inst::Mod => {
-                    need!(cur, 2);
-                    let b = buf[sp - 1];
-                    let a = buf[sp - 2];
-                    if b == 0 {
-                        return Err(VmError::DivisionByZero { ip: cur });
-                    }
-                    buf[sp - 2] = a.rem_euclid(b);
-                    sp -= 1;
-                }
-                Inst::And => binop!(cur, |a: Cell, b: Cell| a & b),
-                Inst::Or => binop!(cur, |a: Cell, b: Cell| a | b),
-                Inst::Xor => binop!(cur, |a: Cell, b: Cell| a ^ b),
-                Inst::Lshift => binop!(cur, |a: Cell, b: Cell| ((a as u64) << (b as u64 & 63))
-                    as Cell),
-                Inst::Rshift => binop!(cur, |a: Cell, b: Cell| ((a as u64) >> (b as u64 & 63))
-                    as Cell),
-                Inst::Min => binop!(cur, |a: Cell, b: Cell| a.min(b)),
-                Inst::Max => binop!(cur, |a: Cell, b: Cell| a.max(b)),
-                Inst::Eq => binop!(cur, |a, b| flag(a == b)),
-                Inst::Ne => binop!(cur, |a, b| flag(a != b)),
-                Inst::Lt => binop!(cur, |a, b| flag(a < b)),
-                Inst::Gt => binop!(cur, |a, b| flag(a > b)),
-                Inst::Le => binop!(cur, |a, b| flag(a <= b)),
-                Inst::Ge => binop!(cur, |a, b| flag(a >= b)),
-                Inst::ULt => binop!(cur, |a: Cell, b: Cell| flag((a as u64) < (b as u64))),
-                Inst::UGt => binop!(cur, |a: Cell, b: Cell| flag((a as u64) > (b as u64))),
-                Inst::Negate => unop!(cur, |a: Cell| a.wrapping_neg()),
-                Inst::Invert => unop!(cur, |a: Cell| !a),
-                Inst::Abs => unop!(cur, |a: Cell| a.wrapping_abs()),
-                Inst::OnePlus => unop!(cur, |a: Cell| a.wrapping_add(1)),
-                Inst::OneMinus => unop!(cur, |a: Cell| a.wrapping_sub(1)),
-                Inst::TwoStar => unop!(cur, |a: Cell| a.wrapping_mul(2)),
-                Inst::TwoSlash => unop!(cur, |a: Cell| a >> 1),
-                Inst::ZeroEq => unop!(cur, |a| flag(a == 0)),
-                Inst::ZeroNe => unop!(cur, |a| flag(a != 0)),
-                Inst::ZeroLt => unop!(cur, |a| flag(a < 0)),
-                Inst::ZeroGt => unop!(cur, |a| flag(a > 0)),
-                Inst::CellPlus => unop!(cur, |a: Cell| a.wrapping_add(CELL_BYTES as Cell)),
-                Inst::Cells => unop!(cur, |a: Cell| a.wrapping_mul(CELL_BYTES as Cell)),
-                Inst::CharPlus => unop!(cur, |a: Cell| a.wrapping_add(1)),
-                Inst::Dup => {
-                    need!(cur, 1);
-                    let a = buf[sp - 1];
-                    push!(cur, a);
-                }
-                Inst::Drop => {
-                    need!(cur, 1);
-                    sp -= 1;
-                }
-                Inst::Swap => {
-                    need!(cur, 2);
-                    buf.swap(sp - 1, sp - 2);
-                }
-                Inst::Over => {
-                    need!(cur, 2);
-                    let a = buf[sp - 2];
-                    push!(cur, a);
-                }
-                Inst::Rot => {
-                    need!(cur, 3);
-                    let a = buf[sp - 3];
-                    buf[sp - 3] = buf[sp - 2];
-                    buf[sp - 2] = buf[sp - 1];
-                    buf[sp - 1] = a;
-                }
-                Inst::MinusRot => {
-                    need!(cur, 3);
-                    let c = buf[sp - 1];
-                    buf[sp - 1] = buf[sp - 2];
-                    buf[sp - 2] = buf[sp - 3];
-                    buf[sp - 3] = c;
-                }
-                Inst::Nip => {
-                    need!(cur, 2);
-                    buf[sp - 2] = buf[sp - 1];
-                    sp -= 1;
-                }
-                Inst::Tuck => {
-                    need!(cur, 2);
-                    let b = buf[sp - 1];
-                    let a = buf[sp - 2];
-                    buf[sp - 2] = b;
-                    buf[sp - 1] = a;
-                    push!(cur, b);
-                }
-                Inst::TwoDup => {
-                    need!(cur, 2);
-                    let b = buf[sp - 1];
-                    let a = buf[sp - 2];
-                    push!(cur, a);
-                    push!(cur, b);
-                }
-                Inst::TwoDrop => {
-                    need!(cur, 2);
-                    sp -= 2;
-                }
-                Inst::TwoSwap => {
-                    need!(cur, 4);
-                    buf.swap(sp - 4, sp - 2);
-                    buf.swap(sp - 3, sp - 1);
-                }
-                Inst::TwoOver => {
-                    need!(cur, 4);
-                    let a = buf[sp - 4];
-                    let b = buf[sp - 3];
-                    push!(cur, a);
-                    push!(cur, b);
-                }
-                Inst::QDup => {
-                    need!(cur, 1);
-                    let a = buf[sp - 1];
-                    if a != 0 {
-                        push!(cur, a);
-                    }
-                }
-                Inst::Pick => {
-                    need!(cur, 1);
-                    let u = buf[sp - 1];
-                    sp -= 1;
-                    if u < 0 || u as usize >= sp {
-                        return Err(VmError::PickOutOfRange { ip: cur, index: u });
-                    }
-                    let v = buf[sp - 1 - u as usize];
-                    push!(cur, v);
-                }
-                Inst::Depth => {
-                    let d = sp as Cell;
-                    push!(cur, d);
-                }
-                Inst::ToR => {
-                    let a = pop!(cur);
-                    rpush!(cur, a);
-                }
-                Inst::FromR => {
-                    let a = rpop!(cur);
-                    push!(cur, a);
-                }
-                Inst::RFetch => {
-                    if MODE == CHECK_FULL && rsp == 0 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    let a = rbuf[rsp - 1];
-                    push!(cur, a);
-                }
-                Inst::TwoToR => {
-                    need!(cur, 2);
-                    let b = buf[sp - 1];
-                    let a = buf[sp - 2];
-                    sp -= 2;
-                    rpush!(cur, a);
-                    rpush!(cur, b);
-                }
-                Inst::TwoFromR => {
-                    let b = rpop!(cur);
-                    let a = rpop!(cur);
-                    push!(cur, a);
-                    push!(cur, b);
-                }
-                Inst::TwoRFetch => {
-                    if MODE == CHECK_FULL && rsp < 2 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    let a = rbuf[rsp - 2];
-                    let b = rbuf[rsp - 1];
-                    push!(cur, a);
-                    push!(cur, b);
-                }
-                Inst::Fetch => {
-                    need!(cur, 1);
-                    let addr = buf[sp - 1];
-                    match machine.load_cell(addr) {
-                        Some(x) => buf[sp - 1] = x,
-                        None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                    }
-                }
-                Inst::Store => {
-                    need!(cur, 2);
-                    let addr = buf[sp - 1];
-                    let x = buf[sp - 2];
-                    sp -= 2;
-                    if !machine.store_cell(addr, x) {
-                        return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
-                    }
-                }
-                Inst::CFetch => {
-                    need!(cur, 1);
-                    let addr = buf[sp - 1];
-                    match machine.load_byte(addr) {
-                        Some(x) => buf[sp - 1] = x,
-                        None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                    }
-                }
-                Inst::CStore => {
-                    need!(cur, 2);
-                    let addr = buf[sp - 1];
-                    let x = buf[sp - 2];
-                    sp -= 2;
-                    if !machine.store_byte(addr, x) {
-                        return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
-                    }
-                }
-                Inst::PlusStore => {
-                    need!(cur, 2);
-                    let addr = buf[sp - 1];
-                    let n = buf[sp - 2];
-                    sp -= 2;
-                    match machine.load_cell(addr) {
-                        Some(x) => {
-                            machine.store_cell(addr, x.wrapping_add(n));
-                        }
-                        None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                    }
-                }
-                Inst::Branch(t) => ip = t as usize,
-                Inst::BranchIfZero(t) => {
-                    let f = pop!(cur);
-                    if f == 0 {
-                        ip = t as usize;
-                    }
-                }
-                Inst::Call(t) => {
-                    rpush!(cur, ip as Cell);
-                    ip = t as usize;
-                }
-                Inst::Execute => {
-                    let token = pop!(cur);
-                    if token < 0 || token as usize >= insts.len() {
-                        return Err(VmError::InvalidExecutionToken { ip: cur, token });
-                    }
-                    rpush!(cur, ip as Cell);
-                    ip = token as usize;
-                }
-                Inst::Return => {
-                    let ret = rpop!(cur);
-                    if ret < 0 || ret as usize > insts.len() {
-                        return Err(VmError::InstructionOutOfBounds { ip: ret as usize });
-                    }
-                    ip = ret as usize;
-                }
-                Inst::Halt => {
-                    machine.stack.clear();
-                    machine.stack.extend_from_slice(&buf[..sp]);
-                    machine.rstack.clear();
-                    machine.rstack.extend_from_slice(&rbuf[..rsp]);
-                    return Ok(stats);
-                }
-                Inst::Nop => {}
-                Inst::DoSetup => {
-                    need!(cur, 2);
-                    let start = buf[sp - 1];
-                    let limit_v = buf[sp - 2];
-                    sp -= 2;
-                    rpush!(cur, limit_v);
-                    rpush!(cur, start);
-                }
-                Inst::QDoSetup(t) => {
-                    need!(cur, 2);
-                    let start = buf[sp - 1];
-                    let limit_v = buf[sp - 2];
-                    sp -= 2;
-                    if limit_v == start {
-                        ip = t as usize;
-                    } else {
-                        rpush!(cur, limit_v);
-                        rpush!(cur, start);
-                    }
-                }
-                Inst::LoopInc(t) => {
-                    if MODE == CHECK_FULL && rsp < 2 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    let index = rbuf[rsp - 1].wrapping_add(1);
-                    let limit_v = rbuf[rsp - 2];
-                    if index == limit_v {
-                        rsp -= 2;
-                    } else {
-                        rbuf[rsp - 1] = index;
-                        ip = t as usize;
-                    }
-                }
-                Inst::PlusLoopInc(t) => {
-                    let step = pop!(cur);
-                    if MODE == CHECK_FULL && rsp < 2 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    let old = rbuf[rsp - 1];
-                    let new = old.wrapping_add(step);
-                    let limit_v = rbuf[rsp - 2];
-                    let crossed = if step >= 0 {
-                        old < limit_v && new >= limit_v
-                    } else {
-                        old >= limit_v && new < limit_v
-                    };
-                    if crossed {
-                        rsp -= 2;
-                    } else {
-                        rbuf[rsp - 1] = new;
-                        ip = t as usize;
-                    }
-                }
-                Inst::LoopI => {
-                    if MODE == CHECK_FULL && rsp == 0 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    let i = rbuf[rsp - 1];
-                    push!(cur, i);
-                }
-                Inst::LoopJ => {
-                    if MODE == CHECK_FULL && rsp < 4 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    let j = rbuf[rsp - 3];
-                    push!(cur, j);
-                }
-                Inst::Unloop => {
-                    if MODE == CHECK_FULL && rsp < 2 {
-                        return Err(VmError::ReturnStackUnderflow { ip: cur });
-                    }
-                    rsp -= 2;
-                }
-                Inst::Emit => {
-                    let c = pop!(cur);
-                    machine.out.push(c as u8);
-                }
-                Inst::Dot => {
-                    let n = pop!(cur);
-                    machine.out.extend_from_slice(n.to_string().as_bytes());
-                    machine.out.push(b' ');
-                }
-                Inst::Type => {
-                    need!(cur, 2);
-                    let len = buf[sp - 1];
-                    let addr = buf[sp - 2];
-                    sp -= 2;
-                    if len < 0 {
-                        return Err(VmError::MemoryOutOfBounds { ip: cur, addr: len });
-                    }
-                    for i in 0..len {
-                        let a = addr.wrapping_add(i);
-                        match machine.load_byte(a) {
-                            Some(byte) => machine.out.push(byte as u8),
-                            None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr: a }),
-                        }
-                    }
-                }
-                Inst::Cr => machine.out.push(b'\n'),
+            if step(&mut s, inst, cur, &mut ip, machine, insts.len())? == Flow::Halt {
+                s.publish(machine);
+                return Ok(stats);
             }
         }
     }

@@ -39,6 +39,17 @@ pub const TRUE: Cell = -1;
 /// The canonical Forth *false* flag.
 pub const FALSE: Cell = 0;
 
+/// A Forth flag: [`TRUE`] for `true`, [`FALSE`] for `false`.
+#[inline]
+#[must_use]
+pub const fn flag(b: bool) -> Cell {
+    if b {
+        TRUE
+    } else {
+        FALSE
+    }
+}
+
 /// A virtual machine instruction.
 ///
 /// Instruction operands that are part of the instruction itself (literal

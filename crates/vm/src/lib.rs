@@ -46,6 +46,7 @@ mod machine;
 pub mod peephole;
 mod program;
 pub mod rng;
+mod sem;
 pub mod stacks;
 pub mod stepper;
 mod verify;
@@ -54,7 +55,7 @@ pub use checks::Checks;
 pub use error::VmError;
 pub use exec::{ExecEvent, ExecObserver, Outcome, ResolvedEffect};
 pub use fusion::{fuse, FusedProgram, FusedStats, FusionPlan, Quickened};
-pub use inst::{perm, Cell, Effect, EffectKind, Inst, CELL_BYTES, FALSE, TRUE};
+pub use inst::{flag, perm, Cell, Effect, EffectKind, Inst, CELL_BYTES, FALSE, TRUE};
 pub use machine::{Machine, DEFAULT_MEMORY, DEFAULT_RSTACK_LIMIT, DEFAULT_STACK_LIMIT};
 pub use program::{program_of, BuildError, Label, Program, ProgramBuilder};
 pub use rng::Rng;

@@ -22,7 +22,8 @@
 //! unchanged: execution tokens are literal instruction indices that the
 //! optimizer cannot relocate.
 
-use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
+use crate::fold::{fold1, fold2};
+use crate::inst::{Cell, Inst, CELL_BYTES};
 use crate::program::{Program, ProgramBuilder};
 
 /// Statistics from a [`optimize`] run.
@@ -36,41 +37,6 @@ pub struct PeepholeStats {
     pub rewrites: usize,
     /// `true` if the program used `execute` and was left unchanged.
     pub skipped_execute: bool,
-}
-
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
-
-/// Constant-fold `a op b` when the result (and trap behaviour) is static.
-fn fold_binop(a: Cell, b: Cell, op: &Inst) -> Option<Cell> {
-    Some(match op {
-        Inst::Add => a.wrapping_add(b),
-        Inst::Sub => a.wrapping_sub(b),
-        Inst::Mul => a.wrapping_mul(b),
-        Inst::Div if b != 0 => a.div_euclid(b),
-        Inst::Mod if b != 0 => a.rem_euclid(b),
-        Inst::And => a & b,
-        Inst::Or => a | b,
-        Inst::Xor => a ^ b,
-        Inst::Lshift => ((a as u64) << (b as u64 & 63)) as Cell,
-        Inst::Rshift => ((a as u64) >> (b as u64 & 63)) as Cell,
-        Inst::Min => a.min(b),
-        Inst::Max => a.max(b),
-        Inst::Eq => flag(a == b),
-        Inst::Ne => flag(a != b),
-        Inst::Lt => flag(a < b),
-        Inst::Gt => flag(a > b),
-        Inst::Le => flag(a <= b),
-        Inst::Ge => flag(a >= b),
-        Inst::ULt => flag((a as u64) < (b as u64)),
-        Inst::UGt => flag((a as u64) > (b as u64)),
-        _ => return None,
-    })
 }
 
 /// Strength-reduce `Lit(n); op` into a specialized unary instruction.
@@ -91,27 +57,6 @@ fn reduce_lit_op(n: Cell, op: &Inst) -> Option<Inst> {
 
 const CELL: Cell = CELL_BYTES as Cell;
 
-/// Constant-fold a unary operation over a literal.
-fn fold_unop(a: Cell, op: &Inst) -> Option<Cell> {
-    Some(match op {
-        Inst::Negate => a.wrapping_neg(),
-        Inst::Invert => !a,
-        Inst::Abs => a.wrapping_abs(),
-        Inst::OnePlus => a.wrapping_add(1),
-        Inst::OneMinus => a.wrapping_sub(1),
-        Inst::TwoStar => a.wrapping_mul(2),
-        Inst::TwoSlash => a >> 1,
-        Inst::ZeroEq => flag(a == 0),
-        Inst::ZeroNe => flag(a != 0),
-        Inst::ZeroLt => flag(a < 0),
-        Inst::ZeroGt => flag(a > 0),
-        Inst::CellPlus => a.wrapping_add(CELL),
-        Inst::Cells => a.wrapping_mul(CELL),
-        Inst::CharPlus => a.wrapping_add(1),
-        _ => return None,
-    })
-}
-
 /// Result of matching a window of instructions.
 enum Rewrite {
     /// Replace the first `consumed` instructions with the given ones.
@@ -124,7 +69,7 @@ fn try_rewrite(window: &[Inst]) -> Rewrite {
     use Inst::*;
     // three-instruction windows: constant folding
     if let [Lit(a), Lit(b), op] = window {
-        if let Some(v) = fold_binop(*a, *b, op) {
+        if let Some(v) = fold2(*op, *a, *b) {
             return Rewrite::Replace(3, vec![Lit(v)]);
         }
     }
@@ -132,7 +77,7 @@ fn try_rewrite(window: &[Inst]) -> Rewrite {
         match (&window[0], &window[1]) {
             // specialization for a frequent constant argument
             (Lit(n), op) => {
-                if let Some(v) = fold_unop(*n, op) {
+                if let Some(v) = fold1(*op, *n) {
                     return Rewrite::Replace(2, vec![Lit(v)]);
                 }
                 if let Some(r) = reduce_lit_op(*n, op) {

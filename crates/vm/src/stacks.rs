@@ -24,6 +24,7 @@ use std::cell::RefCell;
 
 use crate::inst::Cell;
 use crate::machine::Machine;
+use crate::sem::Flat;
 
 /// Most sentinel cells any engine asks for: the static engine's deepest
 /// canonical cache state.
@@ -118,6 +119,14 @@ impl FlatStacks {
     /// engine binds once before its dispatch loop.
     pub fn cells_mut(&mut self) -> (&mut [Cell], &mut [Cell]) {
         (&mut self.buf[..self.limit], &mut self.rbuf[..self.rlimit])
+    }
+
+    /// The cells up to their limits at the current depths, as the view
+    /// the shared opcode semantics ([`crate::sem::step`]) run on.
+    pub(crate) fn flat<const MODE: u8>(&mut self) -> Flat<'_, MODE> {
+        let (sp, rsp) = (self.sp, self.rsp);
+        let (buf, rbuf) = self.cells_mut();
+        Flat { buf, rbuf, sp, rsp }
     }
 
     /// Publish the flat stacks back into `machine` (what `halt` does).

@@ -8,16 +8,17 @@
 //! interprets from a given `ip` over externally-owned flat stack state
 //! ([`FlatStacks`]), charging an externally-owned fuel counter, and stops
 //! as soon as control leaves straight-line code (or a caller-supplied
-//! block boundary is reached). Trap and fuel semantics are
+//! block boundary is reached). Both are drivers over the same opcode
+//! semantics (`sem::step`), so trap and fuel semantics are
 //! instruction-exact and identical to [`crate::interp::run_baseline`]:
 //! the two are cross-validated in tests by chopping reference runs into
 //! spans at every block boundary.
 
 use crate::checks::{Checks, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 use crate::error::VmError;
-use crate::inst::{Cell, Inst, CELL_BYTES, FALSE, TRUE};
 use crate::machine::Machine;
 use crate::program::Program;
+use crate::sem::{step, Flow};
 use crate::stacks::FlatStacks;
 
 /// Why [`run_span`] stopped without trapping.
@@ -63,25 +64,21 @@ pub fn run_span(
     checks: Checks,
 ) -> Result<SpanExit, VmError> {
     match checks {
-        Checks::Full => run_span_mode::<CHECK_FULL>(program, machine, st, ip, stop, fuel, executed),
+        Checks::Full => span_loop::<CHECK_FULL>(program, machine, st, ip, stop, fuel, executed),
         Checks::NoUnderflow => {
-            run_span_mode::<CHECK_NO_UNDERFLOW>(program, machine, st, ip, stop, fuel, executed)
+            span_loop::<CHECK_NO_UNDERFLOW>(program, machine, st, ip, stop, fuel, executed)
         }
-        Checks::None => run_span_mode::<CHECK_NONE>(program, machine, st, ip, stop, fuel, executed),
+        Checks::None => span_loop::<CHECK_NONE>(program, machine, st, ip, stop, fuel, executed),
     }
 }
 
-#[inline]
-fn flag(b: bool) -> Cell {
-    if b {
-        TRUE
-    } else {
-        FALSE
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn run_span_mode<const MODE: u8>(
+/// The span loop over the leased stack cells, kept out of line (see
+/// [`FlatStacks`]): [`step`] until a [`Flow::Jump`], `halt` or `stop`,
+/// then write `sp`/`rsp` back into `st` on every exit, traps included, so
+/// the caller sees the stacks exactly as they were at the faulting
+/// instruction and can report or resume.
+#[inline(never)]
+fn span_loop<const MODE: u8>(
     program: &Program,
     machine: &mut Machine,
     st: &mut FlatStacks,
@@ -91,466 +88,29 @@ fn run_span_mode<const MODE: u8>(
     executed: &mut u64,
 ) -> Result<SpanExit, VmError> {
     let insts = program.insts();
-    let limit = st.limit;
-    let rlimit = st.rlimit;
-    let buf = &mut st.buf[..limit];
-    let rbuf = &mut st.rbuf[..rlimit];
-    let mut sp = st.sp;
-    let mut rsp = st.rsp;
-
-    // Persist sp/rsp into `st` on every exit path, including errors:
-    // a trap must leave the logical stacks exactly as they were at the
-    // faulting instruction so the caller can report or resume.
-    macro_rules! fail {
-        ($e:expr) => {{
-            st.sp = sp;
-            st.rsp = rsp;
-            return Err($e);
-        }};
-    }
-
-    macro_rules! pop {
-        ($cur:expr) => {{
-            if MODE == CHECK_FULL && sp == 0 {
-                fail!(VmError::StackUnderflow { ip: $cur });
-            }
-            sp -= 1;
-            buf[sp]
-        }};
-    }
-    macro_rules! push {
-        ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && sp >= limit {
-                fail!(VmError::StackOverflow { ip: $cur });
-            }
-            buf[sp] = $v;
-            sp += 1;
-        }};
-    }
-    macro_rules! need {
-        ($cur:expr, $n:expr) => {
-            if MODE == CHECK_FULL && sp < $n {
-                fail!(VmError::StackUnderflow { ip: $cur });
-            }
-        };
-    }
-    macro_rules! rpop {
-        ($cur:expr) => {{
-            if MODE == CHECK_FULL && rsp == 0 {
-                fail!(VmError::ReturnStackUnderflow { ip: $cur });
-            }
-            rsp -= 1;
-            rbuf[rsp]
-        }};
-    }
-    macro_rules! rpush {
-        ($cur:expr, $v:expr) => {{
-            if MODE < CHECK_NONE && rsp >= rlimit {
-                fail!(VmError::ReturnStackOverflow { ip: $cur });
-            }
-            rbuf[rsp] = $v;
-            rsp += 1;
-        }};
-    }
-    macro_rules! binop {
-        ($cur:expr, $f:expr) => {{
-            need!($cur, 2);
-            let b = buf[sp - 1];
-            let a = buf[sp - 2];
-            buf[sp - 2] = $f(a, b);
-            sp -= 1;
-        }};
-    }
-    macro_rules! unop {
-        ($cur:expr, $f:expr) => {{
-            need!($cur, 1);
-            buf[sp - 1] = $f(buf[sp - 1]);
-        }};
-    }
-    macro_rules! leave {
-        ($ip:expr) => {{
-            st.sp = sp;
-            st.rsp = rsp;
-            return Ok(SpanExit::Continue($ip));
-        }};
-    }
-
-    loop {
+    let mut s = st.flat::<MODE>();
+    let exit = loop {
         if *executed >= fuel {
-            fail!(VmError::FuelExhausted { ip });
+            break Err(VmError::FuelExhausted { ip });
         }
         let Some(&inst) = insts.get(ip) else {
-            fail!(VmError::InstructionOutOfBounds { ip });
+            break Err(VmError::InstructionOutOfBounds { ip });
         };
         *executed += 1;
         let cur = ip;
         ip += 1;
-        match inst {
-            Inst::Lit(n) => push!(cur, n),
-            Inst::Add => binop!(cur, |a: Cell, b: Cell| a.wrapping_add(b)),
-            Inst::Sub => binop!(cur, |a: Cell, b: Cell| a.wrapping_sub(b)),
-            Inst::Mul => binop!(cur, |a: Cell, b: Cell| a.wrapping_mul(b)),
-            Inst::Div => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                if b == 0 {
-                    fail!(VmError::DivisionByZero { ip: cur });
-                }
-                buf[sp - 2] = a.div_euclid(b);
-                sp -= 1;
+        match step(&mut s, inst, cur, &mut ip, machine, insts.len()) {
+            Ok(Flow::Next) if ip != stop => {}
+            Ok(Flow::Halt) => {
+                s.publish(machine);
+                break Ok(SpanExit::Halted);
             }
-            Inst::Mod => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                if b == 0 {
-                    fail!(VmError::DivisionByZero { ip: cur });
-                }
-                buf[sp - 2] = a.rem_euclid(b);
-                sp -= 1;
-            }
-            Inst::And => binop!(cur, |a: Cell, b: Cell| a & b),
-            Inst::Or => binop!(cur, |a: Cell, b: Cell| a | b),
-            Inst::Xor => binop!(cur, |a: Cell, b: Cell| a ^ b),
-            Inst::Lshift => binop!(cur, |a: Cell, b: Cell| ((a as u64) << (b as u64 & 63))
-                as Cell),
-            Inst::Rshift => binop!(cur, |a: Cell, b: Cell| ((a as u64) >> (b as u64 & 63))
-                as Cell),
-            Inst::Min => binop!(cur, |a: Cell, b: Cell| a.min(b)),
-            Inst::Max => binop!(cur, |a: Cell, b: Cell| a.max(b)),
-            Inst::Eq => binop!(cur, |a, b| flag(a == b)),
-            Inst::Ne => binop!(cur, |a, b| flag(a != b)),
-            Inst::Lt => binop!(cur, |a, b| flag(a < b)),
-            Inst::Gt => binop!(cur, |a, b| flag(a > b)),
-            Inst::Le => binop!(cur, |a, b| flag(a <= b)),
-            Inst::Ge => binop!(cur, |a, b| flag(a >= b)),
-            Inst::ULt => binop!(cur, |a: Cell, b: Cell| flag((a as u64) < (b as u64))),
-            Inst::UGt => binop!(cur, |a: Cell, b: Cell| flag((a as u64) > (b as u64))),
-            Inst::Negate => unop!(cur, |a: Cell| a.wrapping_neg()),
-            Inst::Invert => unop!(cur, |a: Cell| !a),
-            Inst::Abs => unop!(cur, |a: Cell| a.wrapping_abs()),
-            Inst::OnePlus => unop!(cur, |a: Cell| a.wrapping_add(1)),
-            Inst::OneMinus => unop!(cur, |a: Cell| a.wrapping_sub(1)),
-            Inst::TwoStar => unop!(cur, |a: Cell| a.wrapping_mul(2)),
-            Inst::TwoSlash => unop!(cur, |a: Cell| a >> 1),
-            Inst::ZeroEq => unop!(cur, |a| flag(a == 0)),
-            Inst::ZeroNe => unop!(cur, |a| flag(a != 0)),
-            Inst::ZeroLt => unop!(cur, |a| flag(a < 0)),
-            Inst::ZeroGt => unop!(cur, |a| flag(a > 0)),
-            Inst::CellPlus => unop!(cur, |a: Cell| a.wrapping_add(CELL_BYTES as Cell)),
-            Inst::Cells => unop!(cur, |a: Cell| a.wrapping_mul(CELL_BYTES as Cell)),
-            Inst::CharPlus => unop!(cur, |a: Cell| a.wrapping_add(1)),
-            Inst::Dup => {
-                need!(cur, 1);
-                let a = buf[sp - 1];
-                push!(cur, a);
-            }
-            Inst::Drop => {
-                need!(cur, 1);
-                sp -= 1;
-            }
-            Inst::Swap => {
-                need!(cur, 2);
-                buf.swap(sp - 1, sp - 2);
-            }
-            Inst::Over => {
-                need!(cur, 2);
-                let a = buf[sp - 2];
-                push!(cur, a);
-            }
-            Inst::Rot => {
-                need!(cur, 3);
-                let a = buf[sp - 3];
-                buf[sp - 3] = buf[sp - 2];
-                buf[sp - 2] = buf[sp - 1];
-                buf[sp - 1] = a;
-            }
-            Inst::MinusRot => {
-                need!(cur, 3);
-                let c = buf[sp - 1];
-                buf[sp - 1] = buf[sp - 2];
-                buf[sp - 2] = buf[sp - 3];
-                buf[sp - 3] = c;
-            }
-            Inst::Nip => {
-                need!(cur, 2);
-                buf[sp - 2] = buf[sp - 1];
-                sp -= 1;
-            }
-            Inst::Tuck => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                buf[sp - 2] = b;
-                buf[sp - 1] = a;
-                push!(cur, b);
-            }
-            Inst::TwoDup => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::TwoDrop => {
-                need!(cur, 2);
-                sp -= 2;
-            }
-            Inst::TwoSwap => {
-                need!(cur, 4);
-                buf.swap(sp - 4, sp - 2);
-                buf.swap(sp - 3, sp - 1);
-            }
-            Inst::TwoOver => {
-                need!(cur, 4);
-                let a = buf[sp - 4];
-                let b = buf[sp - 3];
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::QDup => {
-                need!(cur, 1);
-                let a = buf[sp - 1];
-                if a != 0 {
-                    push!(cur, a);
-                }
-            }
-            Inst::Pick => {
-                need!(cur, 1);
-                let u = buf[sp - 1];
-                sp -= 1;
-                if u < 0 || u as usize >= sp {
-                    fail!(VmError::PickOutOfRange { ip: cur, index: u });
-                }
-                let v = buf[sp - 1 - u as usize];
-                push!(cur, v);
-            }
-            Inst::Depth => {
-                let d = sp as Cell;
-                push!(cur, d);
-            }
-            Inst::ToR => {
-                let a = pop!(cur);
-                rpush!(cur, a);
-            }
-            Inst::FromR => {
-                let a = rpop!(cur);
-                push!(cur, a);
-            }
-            Inst::RFetch => {
-                if MODE == CHECK_FULL && rsp == 0 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let a = rbuf[rsp - 1];
-                push!(cur, a);
-            }
-            Inst::TwoToR => {
-                need!(cur, 2);
-                let b = buf[sp - 1];
-                let a = buf[sp - 2];
-                sp -= 2;
-                rpush!(cur, a);
-                rpush!(cur, b);
-            }
-            Inst::TwoFromR => {
-                let b = rpop!(cur);
-                let a = rpop!(cur);
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::TwoRFetch => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let a = rbuf[rsp - 2];
-                let b = rbuf[rsp - 1];
-                push!(cur, a);
-                push!(cur, b);
-            }
-            Inst::Fetch => {
-                need!(cur, 1);
-                let addr = buf[sp - 1];
-                match machine.load_cell(addr) {
-                    Some(x) => buf[sp - 1] = x,
-                    None => fail!(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-            Inst::Store => {
-                need!(cur, 2);
-                let addr = buf[sp - 1];
-                let x = buf[sp - 2];
-                sp -= 2;
-                if !machine.store_cell(addr, x) {
-                    fail!(VmError::MemoryOutOfBounds { ip: cur, addr });
-                }
-            }
-            Inst::CFetch => {
-                need!(cur, 1);
-                let addr = buf[sp - 1];
-                match machine.load_byte(addr) {
-                    Some(x) => buf[sp - 1] = x,
-                    None => fail!(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-            Inst::CStore => {
-                need!(cur, 2);
-                let addr = buf[sp - 1];
-                let x = buf[sp - 2];
-                sp -= 2;
-                if !machine.store_byte(addr, x) {
-                    fail!(VmError::MemoryOutOfBounds { ip: cur, addr });
-                }
-            }
-            Inst::PlusStore => {
-                need!(cur, 2);
-                let addr = buf[sp - 1];
-                let n = buf[sp - 2];
-                sp -= 2;
-                match machine.load_cell(addr) {
-                    Some(x) => {
-                        machine.store_cell(addr, x.wrapping_add(n));
-                    }
-                    None => fail!(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-            Inst::Branch(t) => leave!(t as usize),
-            Inst::BranchIfZero(t) => {
-                let f = pop!(cur);
-                if f == 0 {
-                    leave!(t as usize);
-                }
-                leave!(ip);
-            }
-            Inst::Call(t) => {
-                rpush!(cur, ip as Cell);
-                leave!(t as usize);
-            }
-            Inst::Execute => {
-                let token = pop!(cur);
-                if token < 0 || token as usize >= insts.len() {
-                    fail!(VmError::InvalidExecutionToken { ip: cur, token });
-                }
-                rpush!(cur, ip as Cell);
-                leave!(token as usize);
-            }
-            Inst::Return => {
-                let ret = rpop!(cur);
-                if ret < 0 || ret as usize > insts.len() {
-                    fail!(VmError::InstructionOutOfBounds { ip: ret as usize });
-                }
-                leave!(ret as usize);
-            }
-            Inst::Halt => {
-                st.sp = sp;
-                st.rsp = rsp;
-                st.publish(machine);
-                return Ok(SpanExit::Halted);
-            }
-            Inst::Nop => {}
-            Inst::DoSetup => {
-                need!(cur, 2);
-                let start = buf[sp - 1];
-                let limit_v = buf[sp - 2];
-                sp -= 2;
-                rpush!(cur, limit_v);
-                rpush!(cur, start);
-            }
-            Inst::QDoSetup(t) => {
-                need!(cur, 2);
-                let start = buf[sp - 1];
-                let limit_v = buf[sp - 2];
-                sp -= 2;
-                if limit_v == start {
-                    leave!(t as usize);
-                }
-                rpush!(cur, limit_v);
-                rpush!(cur, start);
-                leave!(ip);
-            }
-            Inst::LoopInc(t) => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let index = rbuf[rsp - 1].wrapping_add(1);
-                let limit_v = rbuf[rsp - 2];
-                if index == limit_v {
-                    rsp -= 2;
-                    leave!(ip);
-                }
-                rbuf[rsp - 1] = index;
-                leave!(t as usize);
-            }
-            Inst::PlusLoopInc(t) => {
-                let step = pop!(cur);
-                if MODE == CHECK_FULL && rsp < 2 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let old = rbuf[rsp - 1];
-                let new = old.wrapping_add(step);
-                let limit_v = rbuf[rsp - 2];
-                let crossed = if step >= 0 {
-                    old < limit_v && new >= limit_v
-                } else {
-                    old >= limit_v && new < limit_v
-                };
-                if crossed {
-                    rsp -= 2;
-                    leave!(ip);
-                }
-                rbuf[rsp - 1] = new;
-                leave!(t as usize);
-            }
-            Inst::LoopI => {
-                if MODE == CHECK_FULL && rsp == 0 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let i = rbuf[rsp - 1];
-                push!(cur, i);
-            }
-            Inst::LoopJ => {
-                if MODE == CHECK_FULL && rsp < 4 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let j = rbuf[rsp - 3];
-                push!(cur, j);
-            }
-            Inst::Unloop => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    fail!(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                rsp -= 2;
-            }
-            Inst::Emit => {
-                let c = pop!(cur);
-                machine.push_output_byte(c as u8);
-            }
-            Inst::Dot => {
-                let n = pop!(cur);
-                machine.push_output_number(n);
-            }
-            Inst::Type => {
-                need!(cur, 2);
-                let len = buf[sp - 1];
-                let addr = buf[sp - 2];
-                sp -= 2;
-                if len < 0 {
-                    fail!(VmError::MemoryOutOfBounds { ip: cur, addr: len });
-                }
-                for i in 0..len {
-                    let a = addr.wrapping_add(i);
-                    match machine.load_byte(a) {
-                        Some(byte) => machine.push_output_byte(byte as u8),
-                        None => fail!(VmError::MemoryOutOfBounds { ip: cur, addr: a }),
-                    }
-                }
-            }
-            Inst::Cr => machine.push_output_byte(b'\n'),
+            Ok(_) => break Ok(SpanExit::Continue(ip)),
+            Err(e) => break Err(e),
         }
-        if ip == stop {
-            leave!(ip);
-        }
-    }
+    };
+    (st.sp, st.rsp) = (s.sp, s.rsp);
+    exit
 }
 
 /// Run a whole program through [`run_span`], one span at a time.
@@ -592,6 +152,7 @@ pub fn run_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::inst::Inst;
     use crate::interp::run_baseline;
     use crate::program::{program_of, ProgramBuilder};
     use crate::rng::Rng;
