@@ -1,79 +1,72 @@
 //! Real (wall-clock) stack-cached interpreters.
 //!
 //! Together with the baseline and top-of-stack interpreters in
-//! `stackcache_vm::interp`, these complete the ladder the paper measures:
+//! `stackcache_vm::interp`, these complete the ladder the paper measures.
+//! Every rung is a driver over the one definition of the opcode semantics
+//! in `stackcache-vm`, run against a different stack view:
 //!
-//! | interpreter | caching | where |
-//! |---|---|---|
-//! | `run_baseline` | none (Fig. 11) | `stackcache-vm` |
-//! | `run_tos` | constant k = 1 (Fig. 12) | `stackcache-vm` |
-//! | [`run_dyncache`] | dynamic, minimal org, 3 registers (Section 4) | here |
-//! | [`compile_static`] + [`run_staticcache`] | static, 6-state org (Section 5) | here |
+//! | interpreter | caching | view | driver |
+//! |---|---|---|---|
+//! | `run_baseline` | none (Fig. 11) | all in memory | `vm::interp` |
+//! | `run_tos` | constant k = 1 (Fig. 12) | top in a register | `vm::interp` |
+//! | [`run_dyncache`] | dynamic, minimal org, 3 registers (Section 4) | 3 registers, state tracked at run time | `vm::cached` |
+//! | [`compile_static`] + [`run_staticcache`] | static, 6-state org (Section 5) | 3 registers, state planned per instruction | `vm::cached` (planner here) |
 //!
-//! All interpreters produce identical observable behaviour on trap-free
-//! programs and are cross-validated against the reference interpreter.
+//! The cached drivers dispatch on the cache state and run the semantics
+//! with that state a constant, so each state gets
+//! its own specialised copy of every opcode. All interpreters produce
+//! identical observable behaviour on trap-free programs and are
+//! cross-validated against the reference interpreter.
 
-mod dyncache;
 mod staticrun;
 
-pub use dyncache::{run_dyncache, run_dyncache_with_checks};
+pub use stackcache_vm::cached::{run_dyncache, run_dyncache_with_checks, SInst};
+/// Outcome of a wall-clock interpreter run; for the static interpreter
+/// `executed` counts *compiled* instructions, which is lower than the
+/// original instruction count when stack manipulations were eliminated.
+pub use stackcache_vm::interp::RunStats;
 pub use staticrun::{
-    compile_static, run_staticcache, run_staticcache_with_checks, SInst, StaticExecutable,
+    compile_static, run_staticcache, run_staticcache_with_checks, StaticExecutable,
 };
-
-/// Check-mode constant: all depth checks on (mirrors `vm::Checks::Full`).
-pub(crate) const CHECK_FULL: u8 = 0;
-/// Check-mode constant: underflow checks off (`vm::Checks::NoUnderflow`).
-pub(crate) const CHECK_NO_UNDERFLOW: u8 = 1;
-/// Check-mode constant: all depth checks off (`vm::Checks::None`).
-pub(crate) const CHECK_NONE: u8 = 2;
-
-/// Outcome of a wall-clock interpreter run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunStats {
-    /// Number of dispatched instructions (for the static interpreter this
-    /// is the number of *compiled* instructions executed, which is lower
-    /// than the original instruction count when stack manipulations were
-    /// eliminated).
-    pub executed: u64,
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use stackcache_vm::interp::{run_baseline, run_tos};
-    use stackcache_vm::{exec, program_of, Inst, Machine, Program, ProgramBuilder};
+    use stackcache_vm::{exec, program_of, Inst, Machine, Program, ProgramBuilder, VmError};
 
     /// Run a trap-free program on every engine and assert identical
-    /// observable behaviour.
+    /// observable behaviour, and for the engines that run the original
+    /// program, the same instruction count.
     fn cross_validate(p: &Program) {
         let mut m_ref = Machine::with_memory(4096);
-        exec::run(p, &mut m_ref, 1_000_000).expect("reference runs");
+        let reference = exec::run(p, &mut m_ref, 1_000_000).expect("reference runs");
 
-        let mut m = Machine::with_memory(4096);
-        run_baseline(p, &mut m, 1_000_000).expect("baseline runs");
-        assert_eq!(m_ref.stack(), m.stack(), "baseline stack");
-
-        let mut m = Machine::with_memory(4096);
-        run_tos(p, &mut m, 1_000_000).expect("tos runs");
-        assert_eq!(m_ref.stack(), m.stack(), "tos stack");
-
-        let mut m = Machine::with_memory(4096);
-        run_dyncache(p, &mut m, 1_000_000).expect("dyncache runs");
-        assert_eq!(m_ref.stack(), m.stack(), "dyncache stack");
-        assert_eq!(m_ref.rstack(), m.rstack(), "dyncache rstack");
-        assert_eq!(m_ref.output(), m.output(), "dyncache output");
-        assert_eq!(m_ref.memory(), m.memory(), "dyncache memory");
+        let same = |m: &Machine, name: &str| {
+            assert_eq!(m_ref.stack(), m.stack(), "{name} stack");
+            assert_eq!(m_ref.rstack(), m.rstack(), "{name} rstack");
+            assert_eq!(m_ref.output(), m.output(), "{name} output");
+            assert_eq!(m_ref.memory(), m.memory(), "{name} memory");
+        };
+        type Engine = fn(&Program, &mut Machine, u64) -> Result<RunStats, VmError>;
+        let engines: [(&str, Engine); 3] = [
+            ("baseline", run_baseline),
+            ("tos", run_tos),
+            ("dyncache", run_dyncache),
+        ];
+        for (name, run) in engines {
+            let mut m = Machine::with_memory(4096);
+            let stats = run(p, &mut m, 1_000_000).unwrap_or_else(|e| panic!("{name} traps: {e}"));
+            same(&m, name);
+            assert_eq!(stats.executed, reference.executed, "{name} executed");
+        }
 
         for c in 0..=3u8 {
             let exe = compile_static(p, c);
             let mut m = Machine::with_memory(4096);
             run_staticcache(&exe, &mut m, 1_000_000)
                 .unwrap_or_else(|e| panic!("static c={c} traps: {e}"));
-            assert_eq!(m_ref.stack(), m.stack(), "static c={c} stack");
-            assert_eq!(m_ref.rstack(), m.rstack(), "static c={c} rstack");
-            assert_eq!(m_ref.output(), m.output(), "static c={c} output");
-            assert_eq!(m_ref.memory(), m.memory(), "static c={c} memory");
+            same(&m, &format!("static c={c}"));
         }
     }
 
@@ -97,6 +90,43 @@ mod tests {
             Inst::Add,
             Inst::Mul,
             Inst::Sub,
+        ]));
+    }
+
+    #[test]
+    fn agree_on_division_and_shifts() {
+        cross_validate(&program_of(&[
+            Inst::Lit(10),
+            Inst::Lit(-3),
+            Inst::Div,
+            Inst::Lit(10),
+            Inst::Lit(-3),
+            Inst::Mod,
+            Inst::Lit(7),
+            Inst::Lit(3),
+            Inst::Xor,
+            Inst::Negate,
+            Inst::Abs,
+            Inst::Lit(100),
+            Inst::Max,
+            Inst::Lit(1),
+            Inst::Lshift,
+        ]));
+    }
+
+    #[test]
+    fn agree_on_return_stack_pairs() {
+        cross_validate(&program_of(&[
+            Inst::Lit(1),
+            Inst::Lit(2),
+            Inst::TwoToR,
+            Inst::TwoRFetch,
+            Inst::TwoFromR,
+            Inst::Lit(9),
+            Inst::ToR,
+            Inst::RFetch,
+            Inst::FromR,
+            Inst::Add,
         ]));
     }
 
@@ -301,18 +331,20 @@ mod tests {
     }
 
     #[test]
-    fn dyncache_traps_match_reference() {
+    fn traps_match_reference() {
         for p in [
             program_of(&[Inst::Lit(1), Inst::Lit(0), Inst::Div]),
             program_of(&[Inst::Add]),
             program_of(&[Inst::FromR]),
             program_of(&[Inst::Lit(1 << 40), Inst::Fetch]),
+            program_of(&[Inst::Lit(1), Inst::Lit(9), Inst::Pick]),
         ] {
             let mut m_ref = Machine::with_memory(64);
             let e_ref = exec::run(&p, &mut m_ref, 1000).unwrap_err();
-            let mut m = Machine::with_memory(64);
-            let e = run_dyncache(&p, &mut m, 1000).unwrap_err();
-            assert_eq!(e_ref, e);
+            for run in [run_baseline, run_tos, run_dyncache] {
+                let mut m = Machine::with_memory(64);
+                assert_eq!(run(&p, &mut m, 1000).unwrap_err(), e_ref);
+            }
         }
     }
 }

@@ -1,10 +1,10 @@
-//! A real (wall-clock) statically stack-cached interpreter (Section 5).
+//! The static stack-caching compiler (Section 5) and the entry points of
+//! its run-time engine.
 //!
-//! [`compile_static`] translates a program into specialized code in which
-//! every instruction carries the cache state it was compiled in; the
-//! interpreter [`run_staticcache`] never tracks the cache state at run
-//! time — it is encoded in the instruction stream. Three cache registers
-//! are used, with a six-state organization:
+//! [`compile_static`] translates a program into code in which every
+//! instruction carries the cache state the compiler planned for it, and
+//! the states between instructions are fixed at compile time. Three cache
+//! registers are used, with a six-state organization:
 //!
 //! | state | register word (bottom-first) |
 //! |---|---|
@@ -20,37 +20,27 @@
 //! instruction, not as a separate dispatch) to the canonical convention
 //! state.
 //!
+//! The planner's out-states (`BINOP_NAT`, `UNOP_NAT`, `POP1_NAT`,
+//! `POP2_NAT` and the pop-then-push model of the shuffles) are what the
+//! shared opcode semantics do to the cache state; [`run_staticcache`] runs
+//! the compiled code with `stackcache_vm::cached::run_static`, which
+//! dispatches once per instruction on its planned state and runs the
+//! shared semantics with that state a constant, and debug builds check
+//! every executed instruction's out-state against the plan.
+//!
 //! To keep the canonical convention sound at shallow stack depths the
 //! compiled program runs with `canonical` sentinel zero cells below the
 //! user stack (they are stripped at halt and compensated by `depth`).
 //! Consequently this interpreter does not reproduce *data-stack underflow
-//! traps* bit-for-bit — run trap-free programs (all other behaviour is
-//! cross-validated against the reference interpreter).
+//! traps* bit-for-bit — a short stack reads the sentinels as zeros — so
+//! run trap-free programs (all other behaviour is cross-validated against
+//! the reference interpreter). `/` and `mod` alone check the depth above
+//! the sentinels, so that a sentinel zero never turns an underflow into a
+//! division by zero.
 
-use stackcache_vm::stacks::FlatStacks;
-use stackcache_vm::{flag, Cell, Cfg, Checks, Inst, Machine, Program, VmError, CELL_BYTES};
-
-use crate::interp::{RunStats, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
-
-/// Register word per state, bottom-first.
-const WORDS: [&[usize]; 6] = [&[], &[0], &[0, 1], &[0, 1, 2], &[1, 0], &[0, 2, 1]];
-
-/// Marker: no reconciliation after this instruction.
-const NO_REC: u8 = u8::MAX;
-
-/// One compiled instruction: the original operation plus the cache state
-/// it executes in and an optional embedded reconciliation.
-#[derive(Debug, Clone, Copy)]
-pub struct SInst {
-    /// The operation (branch targets remapped to compiled indices).
-    pub inst: Inst,
-    /// Cache state the instruction executes in.
-    pub s_in: u8,
-    /// Reconciliation source state (valid when `rec_to != NO_REC`).
-    pub rec_from: u8,
-    /// Reconciliation target state, or `u8::MAX` for none.
-    pub rec_to: u8,
-}
+use stackcache_vm::cached::{run_static, SInst, StaticCode, NO_REC};
+use stackcache_vm::interp::RunStats;
+use stackcache_vm::{Cfg, Checks, Inst, Machine, Program, VmError};
 
 /// Statistics from [`compile_static`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,7 +79,7 @@ impl StaticExecutable {
     }
 }
 
-// ---- compile-time state arithmetic (mirrors the runtime macros) ---------
+// ---- compile-time state arithmetic (what the shared semantics do) --------
 
 fn sim_pop(st: u8) -> u8 {
     if st == 0 {
@@ -354,6 +344,18 @@ pub fn compile_static(program: &Program, canonical: u8) -> StaticExecutable {
     }
 }
 
+/// The state the compiler planned `si` to leave (before any embedded
+/// reconciliation), for the run-time engine's debug check.
+fn planned_out(si: &SInst) -> u8 {
+    match plan(&si.inst, si.s_in) {
+        Plan::Emit(natural) => natural,
+        p => unreachable!(
+            "{:?} in state {} was never emitted: {p:?}",
+            si.inst, si.s_in
+        ),
+    }
+}
+
 /// Run a statically compiled executable.
 ///
 /// See the module documentation for the sentinel-cell caveat on underflow
@@ -368,7 +370,7 @@ pub fn run_staticcache(
     machine: &mut Machine,
     fuel: u64,
 ) -> Result<RunStats, VmError> {
-    run_staticcache_mode::<CHECK_FULL>(exe, machine, fuel)
+    run_staticcache_with_checks(exe, machine, fuel, Checks::Full)
 }
 
 /// [`run_staticcache`] at a selectable [`Checks`] level.
@@ -386,735 +388,12 @@ pub fn run_staticcache_with_checks(
     fuel: u64,
     checks: Checks,
 ) -> Result<RunStats, VmError> {
-    match checks {
-        Checks::Full => run_staticcache_mode::<CHECK_FULL>(exe, machine, fuel),
-        Checks::NoUnderflow => run_staticcache_mode::<CHECK_NO_UNDERFLOW>(exe, machine, fuel),
-        Checks::None => run_staticcache_mode::<CHECK_NONE>(exe, machine, fuel),
-    }
-}
-
-fn run_staticcache_mode<const MODE: u8>(
-    exe: &StaticExecutable,
-    machine: &mut Machine,
-    fuel: u64,
-) -> Result<RunStats, VmError> {
-    // zeroed sentinel cells below the user stack keep the canonical
-    // convention loadable at shallow depths
-    let mut st = FlatStacks::lease(machine, usize::from(exe.canonical));
-    static_loop::<MODE>(exe, machine, fuel, &mut st)
-}
-
-/// The dispatch loop over the leased stack cells, kept out of line (see
-/// [`FlatStacks`]).
-#[inline(never)]
-#[allow(clippy::too_many_lines)]
-#[allow(unused_assignments)] // the state-tracking macros assign past the last use
-fn static_loop<const MODE: u8>(
-    exe: &StaticExecutable,
-    machine: &mut Machine,
-    fuel: u64,
-    st: &mut FlatStacks,
-) -> Result<RunStats, VmError> {
-    let code = &exe.code;
-    let sentinels = usize::from(exe.canonical);
-    let (limit, rlimit, mut sp, mut rsp) = (st.limit, st.rlimit, st.sp, st.rsp);
-    let (buf, rbuf) = st.cells_mut();
-
-    let mut r0: Cell = 0;
-    let mut r1: Cell = 0;
-    let mut r2: Cell = 0;
-
-    // Reconcile from state `from` to state `to` (registers + memory).
-    macro_rules! reconcile {
-        ($from:expr, $to:expr, $cur:expr) => {{
-            let fw = WORDS[$from as usize];
-            let tw = WORDS[$to as usize];
-            let fl = fw.len();
-            let tl = tw.len();
-            let regs = [r0, r1, r2];
-            if fl > tl {
-                // spill the extra bottom items
-                let extra = fl - tl;
-                if MODE < CHECK_NONE && sp + extra > limit {
-                    return Err(VmError::StackOverflow { ip: $cur });
-                }
-                for j in 0..extra {
-                    buf[sp + j] = regs[fw[j]];
-                }
-                sp += extra;
-            }
-            // top-aligned register copies (read-all-then-write)
-            let common = fl.min(tl);
-            let mut vals = [0 as Cell; 3];
-            for k in 0..common {
-                vals[k] = regs[fw[fl - 1 - k]];
-            }
-            let mut out = [r0, r1, r2];
-            for k in 0..common {
-                out[tw[tl - 1 - k]] = vals[k];
-            }
-            if tl > fl {
-                // load deeper items from memory into the bottom slots
-                let need = tl - fl;
-                debug_assert!(sp >= need, "sentinels guarantee loadable depth");
-                sp -= need;
-                for j in 0..need {
-                    out[tw[j]] = buf[sp + j];
-                }
-            }
-            r0 = out[0];
-            r1 = out[1];
-            r2 = out[2];
-        }};
-    }
-
-    // Enter the convention state.
-    reconcile!(0u8, exe.canonical, 0usize);
-
-    let mut ip = exe.entry;
-    let mut executed: u64 = 0;
-
-    loop {
-        if executed >= fuel {
-            return Err(VmError::FuelExhausted { ip });
-        }
-        let Some(si) = code.get(ip) else {
-            return Err(VmError::InstructionOutOfBounds { ip });
-        };
-        executed += 1;
-        let cur = ip;
-        ip += 1;
-        let sin = si.s_in;
-
-        // ---- class helpers (canonical states only, tracked locally) -----
-        macro_rules! pop_v {
-            ($st:expr) => {{
-                match $st {
-                    0 => {
-                        if MODE == CHECK_FULL && sp == 0 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 1;
-                        buf[sp]
-                    }
-                    1 => {
-                        $st = 0;
-                        r0
-                    }
-                    2 => {
-                        $st = 1;
-                        r1
-                    }
-                    _ => {
-                        $st = 2;
-                        r2
-                    }
-                }
-            }};
-        }
-        macro_rules! push_v {
-            ($st:expr, $v:expr) => {{
-                let v = $v;
-                match $st {
-                    0 => {
-                        r0 = v;
-                        $st = 1;
-                    }
-                    1 => {
-                        r1 = v;
-                        $st = 2;
-                    }
-                    2 => {
-                        r2 = v;
-                        $st = 3;
-                    }
-                    _ => {
-                        if MODE < CHECK_NONE && sp >= limit {
-                            return Err(VmError::StackOverflow { ip: cur });
-                        }
-                        buf[sp] = r0;
-                        sp += 1;
-                        r0 = r1;
-                        r1 = r2;
-                        r2 = v;
-                    }
-                }
-            }};
-        }
-        /// pop1-special: works in all six states (see `POP1_NAT`).
-        macro_rules! pop1 {
-            () => {{
-                match sin {
-                    0 => {
-                        if MODE == CHECK_FULL && sp == 0 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 1;
-                        buf[sp]
-                    }
-                    1 => r0,
-                    2 => r1,
-                    3 => r2,
-                    4 => {
-                        let v = r0;
-                        r0 = r1;
-                        v
-                    }
-                    _ => {
-                        let v = r1;
-                        r1 = r2;
-                        v
-                    }
-                }
-            }};
-        }
-        /// pop2-special: `(a, b)` with `b` the top, all six states.
-        macro_rules! pop2 {
-            () => {{
-                match sin {
-                    0 => {
-                        if MODE == CHECK_FULL && sp < 2 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 2;
-                        (buf[sp], buf[sp + 1])
-                    }
-                    1 => {
-                        if MODE == CHECK_FULL && sp == 0 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 1;
-                        (buf[sp], r0)
-                    }
-                    2 => (r0, r1),
-                    3 => (r1, r2),
-                    4 => (r1, r0),
-                    _ => (r2, r1),
-                }
-            }};
-        }
-        macro_rules! binop {
-            ($f:expr) => {{
-                match sin {
-                    0 => {
-                        if MODE == CHECK_FULL && sp < 2 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        let b = buf[sp - 1];
-                        let a = buf[sp - 2];
-                        sp -= 2;
-                        r0 = $f(a, b);
-                    }
-                    1 => {
-                        if MODE == CHECK_FULL && sp == 0 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 1;
-                        r0 = $f(buf[sp], r0);
-                    }
-                    2 => r0 = $f(r0, r1),
-                    3 => r1 = $f(r1, r2),
-                    4 => r0 = $f(r1, r0),
-                    _ => r1 = $f(r2, r1),
-                }
-            }};
-        }
-        macro_rules! unop {
-            ($f:expr) => {{
-                match sin {
-                    0 => {
-                        if MODE == CHECK_FULL && sp == 0 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 1;
-                        r0 = $f(buf[sp]);
-                    }
-                    1 | 4 => r0 = $f(r0),
-                    2 | 5 => r1 = $f(r1),
-                    _ => r2 = $f(r2),
-                }
-            }};
-        }
-        /// top-of-stack register for unary-style fallible ops
-        macro_rules! unop_try {
-            ($f:expr) => {{
-                match sin {
-                    0 => {
-                        if MODE == CHECK_FULL && sp == 0 {
-                            return Err(VmError::StackUnderflow { ip: cur });
-                        }
-                        sp -= 1;
-                        r0 = $f(buf[sp])?;
-                    }
-                    1 | 4 => r0 = $f(r0)?,
-                    2 | 5 => r1 = $f(r1)?,
-                    _ => r2 = $f(r2)?,
-                }
-            }};
-        }
-        /// flush the cache (per the state word) to memory
-        macro_rules! flush {
-            () => {{
-                let w = WORDS[sin as usize];
-                if MODE < CHECK_NONE && sp + w.len() > limit {
-                    return Err(VmError::StackOverflow { ip: cur });
-                }
-                let regs = [r0, r1, r2];
-                for (j, &r) in w.iter().enumerate() {
-                    buf[sp + j] = regs[r];
-                }
-                sp += w.len();
-            }};
-        }
-        macro_rules! rpush {
-            ($v:expr) => {{
-                if MODE < CHECK_NONE && rsp >= rlimit {
-                    return Err(VmError::ReturnStackOverflow { ip: cur });
-                }
-                rbuf[rsp] = $v;
-                rsp += 1;
-            }};
-        }
-        macro_rules! rpop {
-            () => {{
-                if MODE == CHECK_FULL && rsp == 0 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                rsp -= 1;
-                rbuf[rsp]
-            }};
-        }
-        macro_rules! do_rec {
-            () => {
-                if si.rec_to != NO_REC {
-                    reconcile!(si.rec_from, si.rec_to, cur);
-                }
-            };
-        }
-
-        match si.inst {
-            Inst::Lit(n) => {
-                let mut st = sin;
-                push_v!(st, n);
-            }
-            Inst::Add => binop!(|a: Cell, b: Cell| a.wrapping_add(b)),
-            Inst::Sub => binop!(|a: Cell, b: Cell| a.wrapping_sub(b)),
-            Inst::Mul => binop!(|a: Cell, b: Cell| a.wrapping_mul(b)),
-            Inst::Div => {
-                let (a, b) = pop2!();
-                if b == 0 {
-                    return Err(VmError::DivisionByZero { ip: cur });
-                }
-                // result goes where POP2_NAT's next push would put it:
-                // states with nat 0 -> r0, nat 1 -> r1
-                if POP2_NAT[sin as usize] == 0 {
-                    r0 = a.wrapping_div_euclid(b);
-                } else {
-                    r1 = a.wrapping_div_euclid(b);
-                }
-            }
-            Inst::Mod => {
-                let (a, b) = pop2!();
-                if b == 0 {
-                    return Err(VmError::DivisionByZero { ip: cur });
-                }
-                if POP2_NAT[sin as usize] == 0 {
-                    r0 = a.wrapping_rem_euclid(b);
-                } else {
-                    r1 = a.wrapping_rem_euclid(b);
-                }
-            }
-            Inst::And => binop!(|a: Cell, b: Cell| a & b),
-            Inst::Or => binop!(|a: Cell, b: Cell| a | b),
-            Inst::Xor => binop!(|a: Cell, b: Cell| a ^ b),
-            Inst::Lshift => binop!(|a: Cell, b: Cell| ((a as u64) << (b as u64 & 63)) as Cell),
-            Inst::Rshift => binop!(|a: Cell, b: Cell| ((a as u64) >> (b as u64 & 63)) as Cell),
-            Inst::Min => binop!(|a: Cell, b: Cell| a.min(b)),
-            Inst::Max => binop!(|a: Cell, b: Cell| a.max(b)),
-            Inst::Eq => binop!(|a, b| flag(a == b)),
-            Inst::Ne => binop!(|a, b| flag(a != b)),
-            Inst::Lt => binop!(|a, b| flag(a < b)),
-            Inst::Gt => binop!(|a, b| flag(a > b)),
-            Inst::Le => binop!(|a, b| flag(a <= b)),
-            Inst::Ge => binop!(|a, b| flag(a >= b)),
-            Inst::ULt => binop!(|a: Cell, b: Cell| flag((a as u64) < (b as u64))),
-            Inst::UGt => binop!(|a: Cell, b: Cell| flag((a as u64) > (b as u64))),
-            Inst::Negate => unop!(|a: Cell| a.wrapping_neg()),
-            Inst::Invert => unop!(|a: Cell| !a),
-            Inst::Abs => unop!(|a: Cell| a.wrapping_abs()),
-            Inst::OnePlus => unop!(|a: Cell| a.wrapping_add(1)),
-            Inst::OneMinus => unop!(|a: Cell| a.wrapping_sub(1)),
-            Inst::TwoStar => unop!(|a: Cell| a.wrapping_mul(2)),
-            Inst::TwoSlash => unop!(|a: Cell| a >> 1),
-            Inst::ZeroEq => unop!(|a| flag(a == 0)),
-            Inst::ZeroNe => unop!(|a| flag(a != 0)),
-            Inst::ZeroLt => unop!(|a| flag(a < 0)),
-            Inst::ZeroGt => unop!(|a| flag(a > 0)),
-            Inst::CellPlus => unop!(|a: Cell| a.wrapping_add(CELL_BYTES as Cell)),
-            Inst::Cells => unop!(|a: Cell| a.wrapping_mul(CELL_BYTES as Cell)),
-            Inst::CharPlus => unop!(|a: Cell| a.wrapping_add(1)),
-
-            Inst::Dup => {
-                let mut st = sin;
-                let a = pop_v!(st);
-                push_v!(st, a);
-                push_v!(st, a);
-            }
-            Inst::Drop => match sin {
-                0 => {
-                    if MODE == CHECK_FULL && sp == 0 {
-                        return Err(VmError::StackUnderflow { ip: cur });
-                    }
-                    sp -= 1;
-                }
-                4 => r0 = r1,
-                5 => r1 = r2,
-                _ => unreachable!("drop in canonical non-empty states is eliminated"),
-            },
-            Inst::Swap => {
-                // only states 0 and 1 reach here
-                let mut st = sin;
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, b);
-                push_v!(st, a);
-            }
-            Inst::Over => {
-                let mut st = sin;
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, a);
-                push_v!(st, b);
-                push_v!(st, a);
-            }
-            Inst::Rot => {
-                let mut st = sin;
-                let c = pop_v!(st);
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, b);
-                push_v!(st, c);
-                push_v!(st, a);
-            }
-            Inst::MinusRot => {
-                let mut st = sin;
-                let c = pop_v!(st);
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, c);
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-            Inst::Nip => {
-                let mut st = sin;
-                let b = pop_v!(st);
-                let _ = pop_v!(st);
-                push_v!(st, b);
-            }
-            Inst::Tuck => {
-                let mut st = sin;
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, b);
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-            Inst::TwoDup => {
-                let mut st = sin;
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, a);
-                push_v!(st, b);
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-            Inst::TwoDrop => {
-                // only states 0 and 1 reach here
-                let mut st = sin;
-                let _ = pop_v!(st);
-                let _ = pop_v!(st);
-            }
-            Inst::TwoSwap => {
-                let mut st = sin;
-                let d = pop_v!(st);
-                let c = pop_v!(st);
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, c);
-                push_v!(st, d);
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-            Inst::TwoOver => {
-                let mut st = sin;
-                let d = pop_v!(st);
-                let c = pop_v!(st);
-                let b = pop_v!(st);
-                let a = pop_v!(st);
-                push_v!(st, a);
-                push_v!(st, b);
-                push_v!(st, c);
-                push_v!(st, d);
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-            Inst::QDup => {
-                flush!();
-                if MODE == CHECK_FULL && sp == 0 {
-                    return Err(VmError::StackUnderflow { ip: cur });
-                }
-                let a = buf[sp - 1];
-                if a != 0 {
-                    if MODE < CHECK_NONE && sp >= limit {
-                        return Err(VmError::StackOverflow { ip: cur });
-                    }
-                    buf[sp] = a;
-                    sp += 1;
-                }
-            }
-            Inst::Pick => {
-                flush!();
-                if MODE == CHECK_FULL && sp == 0 {
-                    return Err(VmError::StackUnderflow { ip: cur });
-                }
-                sp -= 1;
-                let u = buf[sp];
-                let avail = sp - sentinels;
-                if u < 0 || u as usize >= avail {
-                    return Err(VmError::PickOutOfRange { ip: cur, index: u });
-                }
-                let v = buf[sp - 1 - u as usize];
-                // state 0 after flush: push via registers (natural 1)
-                r0 = v;
-            }
-            Inst::Depth => {
-                flush!();
-                let d = (sp - sentinels) as Cell;
-                r0 = d; // natural state 1
-            }
-
-            Inst::ToR => {
-                let v = pop1!();
-                rpush!(v);
-            }
-            Inst::FromR => {
-                let v = rpop!();
-                let mut st = sin;
-                push_v!(st, v);
-            }
-            Inst::RFetch => {
-                if MODE == CHECK_FULL && rsp == 0 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let v = rbuf[rsp - 1];
-                let mut st = sin;
-                push_v!(st, v);
-            }
-            Inst::TwoToR => {
-                let (a, b) = pop2!();
-                rpush!(a);
-                rpush!(b);
-            }
-            Inst::TwoFromR => {
-                let b = rpop!();
-                let a = rpop!();
-                let mut st = sin;
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-            Inst::TwoRFetch => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let a = rbuf[rsp - 2];
-                let b = rbuf[rsp - 1];
-                let mut st = sin;
-                push_v!(st, a);
-                push_v!(st, b);
-            }
-
-            Inst::Fetch => {
-                unop_try!(|addr| machine
-                    .load_cell(addr)
-                    .ok_or(VmError::MemoryOutOfBounds { ip: cur, addr }));
-            }
-            Inst::CFetch => {
-                unop_try!(|addr| machine
-                    .load_byte(addr)
-                    .ok_or(VmError::MemoryOutOfBounds { ip: cur, addr }));
-            }
-            Inst::Store => {
-                let (x, addr) = pop2!();
-                if !machine.store_cell(addr, x) {
-                    return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
-                }
-            }
-            Inst::CStore => {
-                let (x, addr) = pop2!();
-                if !machine.store_byte(addr, x) {
-                    return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
-                }
-            }
-            Inst::PlusStore => {
-                let (n, addr) = pop2!();
-                match machine.load_cell(addr) {
-                    Some(x) => {
-                        machine.store_cell(addr, x.wrapping_add(n));
-                    }
-                    None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-                }
-            }
-
-            Inst::Branch(t) => {
-                do_rec!();
-                ip = t as usize;
-                continue;
-            }
-            Inst::BranchIfZero(t) => {
-                let f = pop1!();
-                do_rec!();
-                if f == 0 {
-                    ip = t as usize;
-                }
-                continue;
-            }
-            Inst::Call(t) => {
-                do_rec!();
-                rpush!(ip as Cell);
-                ip = t as usize;
-                continue;
-            }
-            Inst::Execute => {
-                let token = pop1!();
-                do_rec!();
-                if token < 0 || token as usize >= exe.remap.len() {
-                    return Err(VmError::InvalidExecutionToken { ip: cur, token });
-                }
-                let target = exe.remap[token as usize];
-                if target == u32::MAX {
-                    return Err(VmError::InvalidExecutionToken { ip: cur, token });
-                }
-                rpush!(ip as Cell);
-                ip = target as usize;
-                continue;
-            }
-            Inst::Return => {
-                do_rec!();
-                let ret = rpop!();
-                if ret < 0 || ret as usize > code.len() {
-                    return Err(VmError::InstructionOutOfBounds { ip: ret as usize });
-                }
-                ip = ret as usize;
-                continue;
-            }
-            Inst::Halt => {
-                flush!();
-                machine.set_stack(&buf[sentinels..sp]);
-                machine.set_rstack(&rbuf[..rsp]);
-                return Ok(RunStats { executed });
-            }
-            Inst::Nop => {}
-
-            Inst::DoSetup => {
-                let (limit_v, start) = pop2!();
-                rpush!(limit_v);
-                rpush!(start);
-            }
-            Inst::QDoSetup(t) => {
-                let (limit_v, start) = pop2!();
-                do_rec!();
-                if limit_v == start {
-                    ip = t as usize;
-                } else {
-                    rpush!(limit_v);
-                    rpush!(start);
-                }
-                continue;
-            }
-            Inst::LoopInc(t) => {
-                do_rec!();
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let index = rbuf[rsp - 1].wrapping_add(1);
-                let limit_v = rbuf[rsp - 2];
-                if index == limit_v {
-                    rsp -= 2;
-                } else {
-                    rbuf[rsp - 1] = index;
-                    ip = t as usize;
-                }
-                continue;
-            }
-            Inst::PlusLoopInc(t) => {
-                let step = pop1!();
-                do_rec!();
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let old = rbuf[rsp - 1];
-                let new = old.wrapping_add(step);
-                let limit_v = rbuf[rsp - 2];
-                let crossed = if step >= 0 {
-                    old < limit_v && new >= limit_v
-                } else {
-                    old >= limit_v && new < limit_v
-                };
-                if crossed {
-                    rsp -= 2;
-                } else {
-                    rbuf[rsp - 1] = new;
-                    ip = t as usize;
-                }
-                continue;
-            }
-            Inst::LoopI => {
-                if MODE == CHECK_FULL && rsp == 0 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let v = rbuf[rsp - 1];
-                let mut st = sin;
-                push_v!(st, v);
-            }
-            Inst::LoopJ => {
-                if MODE == CHECK_FULL && rsp < 4 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                let v = rbuf[rsp - 3];
-                let mut st = sin;
-                push_v!(st, v);
-            }
-            Inst::Unloop => {
-                if MODE == CHECK_FULL && rsp < 2 {
-                    return Err(VmError::ReturnStackUnderflow { ip: cur });
-                }
-                rsp -= 2;
-            }
-
-            Inst::Emit => {
-                let c = pop1!();
-                machine.push_output_byte(c as u8);
-            }
-            Inst::Dot => {
-                let n = pop1!();
-                machine.push_output_number(n);
-            }
-            Inst::Type => {
-                let (addr, len) = pop2!();
-                if len < 0 {
-                    return Err(VmError::MemoryOutOfBounds { ip: cur, addr: len });
-                }
-                for i in 0..len {
-                    let a = addr.wrapping_add(i);
-                    match machine.load_byte(a) {
-                        Some(byte) => machine.push_output_byte(byte as u8),
-                        None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr: a }),
-                    }
-                }
-            }
-            Inst::Cr => machine.push_output_byte(b'\n'),
-        }
-
-        do_rec!();
-    }
+    let code = StaticCode {
+        code: &exe.code,
+        remap: &exe.remap,
+        entry: exe.entry,
+        canonical: exe.canonical,
+        planned: planned_out,
+    };
+    run_static(&code, machine, fuel, checks)
 }

@@ -1,9 +1,13 @@
 //! The file-based regression corpus: programs that once exposed a
 //! divergence, stored as `vm::asm` text under `tests/corpus/` at the
 //! workspace root and replayed deterministically before any fuzzing.
+//!
+//! Programs whose point is a trap live in `tests/corpus/traps/`: every
+//! program directly under `tests/corpus/` must also pass the static
+//! analysis gate as depth-safe, which a program that underflows cannot.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use stackcache_vm::{asm, Program};
 
@@ -13,8 +17,14 @@ pub fn corpus_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
 }
 
+/// The trapping programs' directory (`tests/corpus/traps/`).
+#[must_use]
+pub fn traps_dir() -> PathBuf {
+    corpus_dir().join("traps")
+}
+
 /// All corpus programs, sorted by file name for deterministic replay
-/// order, with their file names.
+/// order, with their file names; the trapping programs are not included.
 ///
 /// # Panics
 ///
@@ -22,8 +32,17 @@ pub fn corpus_dir() -> PathBuf {
 /// entry must never be silently skipped.
 #[must_use]
 pub fn load_all() -> Vec<(String, Program)> {
-    let dir = corpus_dir();
-    let Ok(entries) = fs::read_dir(&dir) else {
+    load_dir(&corpus_dir())
+}
+
+/// The programs in `dir`, as [`load_all`] reads them.
+///
+/// # Panics
+///
+/// As [`load_all`].
+#[must_use]
+pub fn load_dir(dir: &Path) -> Vec<(String, Program)> {
+    let Ok(entries) = fs::read_dir(dir) else {
         return Vec::new();
     };
     let mut names: Vec<PathBuf> = entries
@@ -47,14 +66,15 @@ pub fn load_all() -> Vec<(String, Program)> {
         .collect()
 }
 
-/// Replay every corpus program through the full oracle; returns how many
-/// programs were replayed.
+/// Replay every corpus program, the trapping ones included, through the
+/// full oracle; returns how many programs were replayed.
 ///
 /// # Panics
 ///
 /// Panics with a first-divergence report if any corpus program diverges.
 pub fn replay_all(fuel: u64) -> usize {
-    let programs = load_all();
+    let mut programs = load_all();
+    programs.extend(load_dir(&traps_dir()));
     for (name, p) in &programs {
         eprintln!("corpus: replaying {name}");
         crate::check::assert_agreement(p, fuel);

@@ -43,7 +43,7 @@ use crate::error::VmError;
 use crate::inst::Inst;
 use crate::machine::Machine;
 use crate::program::Program;
-use crate::sem::{step, Flow};
+use crate::sem::{step, Code, Fault, Flow};
 use crate::stacks::FlatStacks;
 
 /// Longest opcode sequence a plan may fuse.
@@ -451,6 +451,7 @@ fn group_loop<const MODE: u8>(
     st: &mut FlatStacks,
 ) -> Result<FusedStats, VmError> {
     let insts = fused.program.insts();
+    let code = Code::plain(insts.len());
     let group_len = &fused.group_len;
     let mut s = st.flat::<MODE>();
     let mut ip = fused.program.entry();
@@ -496,7 +497,8 @@ fn group_loop<const MODE: u8>(
             let inst = insts[ip];
             let cur = ip;
             ip += 1;
-            if step(&mut s, inst, cur, &mut ip, machine, insts.len())? == Flow::Halt {
+            if step(&mut s, inst, cur, &mut ip, machine, code).map_err(Fault::error)? == Flow::Halt
+            {
                 s.publish(machine);
                 return Ok(stats);
             }

@@ -12,7 +12,10 @@
 //!   per-instruction [`exec::ExecEvent`]s to instrumentation,
 //! * a [verifier](verify()) and [control-flow graph](Cfg),
 //! * the wall-clock [baseline](interp::run_baseline) and
-//!   [top-of-stack](interp::run_tos) interpreters (Fig. 11 and Fig. 12),
+//!   [top-of-stack](interp::run_tos) interpreters (Fig. 11 and Fig. 12)
+//!   and the [dynamically](cached::run_dyncache) and
+//!   [statically](cached::run_static) register-cached ones (Sections 4
+//!   and 5), all drivers over one definition of the opcode semantics,
 //! * the [dispatch-technique micro-interpreters](dispatch) of Section 2.1.
 //!
 //! # Examples
@@ -33,6 +36,7 @@
 #![warn(clippy::all)]
 
 pub mod asm;
+pub mod cached;
 mod checks;
 pub mod depth;
 pub mod dispatch;

@@ -1,23 +1,35 @@
-//! The flat-memory-stack semantics of every opcode, written once.
+//! The semantics of every opcode, written once, over any stack view.
 //!
-//! The paper's baseline interpreter (Fig. 11) defines each primitive over
-//! a memory stack addressed through an explicit stack pointer. [`step`] is
-//! that definition: it executes one instruction against a [`Flat`] view of
-//! the leased stacks and reports what it did to control flow as a
-//! [`Flow`]. The engines that keep every item in memory are drivers over
-//! it and differ only in how they fetch and what they do at a control
-//! transfer:
+//! The paper's interpreters differ only in where stack items live: all
+//! in memory behind an explicit stack pointer (Fig. 11), the top item in
+//! a register (Fig. 12), or up to three items in registers under a cache
+//! state (Sections 4 and 5). [`step`] executes one instruction against a
+//! [`View`] of the leased stacks, and each organization is a view:
 //!
-//! * the baseline interpreter ([`crate::interp::run_baseline`]) loops
-//!   until `halt` and ignores [`Flow::Jump`];
+//! * [`Flat`] keeps every item in memory;
+//! * `interp::Tos` keeps the top item in a register (k = 1);
+//! * `cached::Regs` keeps up to three items in registers under a cache
+//!   state held in a field.
+//!
+//! `step` reports what it did to control flow as a [`Flow`]; the drivers
+//! differ only in how they fetch and what they do at a control transfer:
+//!
+//! * the baseline and top-of-stack interpreters ([`crate::interp`]) loop
+//!   until `halt` and ignore [`Flow::Jump`];
 //! * the span stepper ([`crate::stepper::run_span`], the JIT's deopt
 //!   bridge) leaves on [`Flow::Jump`] or at a caller-given boundary;
 //! * the fused and quickened interpreters ([`crate::fusion`]) dispatch once
-//!   per group and call [`step`] once per group member.
+//!   per group and call [`step`] once per group member;
+//! * the dynamically and statically cached interpreters
+//!   ([`crate::cached`]) dispatch once on the cache state and run `step`
+//!   with the state a constant.
 //!
 //! Everything is `#[inline(always)]`, so each driver compiles to one
-//! specialised loop per [`Checks`](crate::Checks) level with the stack
-//! pointers in registers.
+//! specialised loop per [`Checks`](crate::Checks) level (and per cache
+//! state) with the stack pointers in registers. Every shuffle is written
+//! as the pops of its inputs followed by the pushes of its outputs, the
+//! model the static planner in `stackcache-core` assigns cache states by;
+//! on a memory view the redundant loads and stores fold away.
 
 use crate::checks::{CHECK_FULL, CHECK_NONE};
 use crate::error::VmError;
@@ -32,8 +44,203 @@ pub(crate) enum Flow {
     /// A block-ending instruction executed, whether or not it transferred
     /// control; `ip` holds the successor.
     Jump,
-    /// `halt` executed; the stacks are still in the view, unpublished.
+    /// `halt` executed; every cached item is flushed to memory, and the
+    /// stacks are still in the view, unpublished.
     Halt,
+}
+
+/// A trap as the opcode semantics raise it: the [`VmError`] variant as a
+/// constructor, and every payload word defined. Built as a `VmError`
+/// directly, the variants' unused payload words merged into one exit with
+/// undefined contents, and the optimiser filled them with whatever value
+/// was at hand, which kept unrelated values live, and spilled, across the
+/// whole dispatch loop.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fault {
+    /// Builds the error from `ip` and `val`.
+    kind: fn(usize, Cell) -> VmError,
+    /// Instruction index the error reports.
+    ip: usize,
+    /// The error's second payload word, 0 for variants without one.
+    val: Cell,
+}
+
+impl Fault {
+    /// A trap of `kind` at `ip` with payload `val`.
+    #[inline(always)]
+    pub(crate) fn new(ip: usize, val: Cell, kind: fn(usize, Cell) -> VmError) -> Fault {
+        Fault { kind, ip, val }
+    }
+
+    /// [`VmError::StackUnderflow`] at `ip`.
+    #[inline(always)]
+    pub(crate) fn underflow(ip: usize) -> Fault {
+        Fault::new(ip, 0, |ip, _| VmError::StackUnderflow { ip })
+    }
+
+    /// [`VmError::StackOverflow`] at `ip`.
+    #[inline(always)]
+    pub(crate) fn overflow(ip: usize) -> Fault {
+        Fault::new(ip, 0, |ip, _| VmError::StackOverflow { ip })
+    }
+
+    /// [`VmError::DivisionByZero`] at `ip`.
+    #[inline(always)]
+    pub(crate) fn division(ip: usize) -> Fault {
+        Fault::new(ip, 0, |ip, _| VmError::DivisionByZero { ip })
+    }
+
+    /// [`VmError::MemoryOutOfBounds`] at `ip` for `addr`.
+    #[inline(always)]
+    fn memory(ip: usize, addr: Cell) -> Fault {
+        Fault::new(ip, addr, |ip, addr| VmError::MemoryOutOfBounds { ip, addr })
+    }
+
+    /// The public error, built out of line on the trap path.
+    #[cold]
+    #[inline(never)]
+    pub(crate) fn error(self) -> VmError {
+        (self.kind)(self.ip, self.val)
+    }
+}
+
+/// The instruction stream `step` transfers control within.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Code<'a> {
+    /// Stream length: the largest valid return address.
+    pub(crate) len: usize,
+    /// Execution token (an index into the source program) to stream
+    /// index, `u32::MAX` where no instruction was compiled; `None` when
+    /// the stream is the program itself.
+    pub(crate) xt: Option<&'a [u32]>,
+}
+
+impl Code<'_> {
+    /// A stream that is the program itself.
+    pub(crate) fn plain(len: usize) -> Code<'static> {
+        Code { len, xt: None }
+    }
+
+    /// Where `execute` of `token` goes, or `None` for an invalid token.
+    #[inline(always)]
+    fn target(self, token: Cell) -> Option<usize> {
+        let t = usize::try_from(token).ok()?;
+        match self.xt {
+            None => (t < self.len).then_some(t),
+            Some(map) => map.get(t).filter(|&&x| x != u32::MAX).map(|&x| x as usize),
+        }
+    }
+}
+
+/// A stack organization [`step`] runs against: how the data stack's
+/// items map to registers and memory. The return stack is always flat.
+///
+/// Every method traps as the reference interpreter does, minus the depth
+/// checks [`View::MODE`] elides; pops and pushes of a whole instruction
+/// may have moved items before a trap, which is fine because no driver
+/// publishes a trapped view.
+pub(crate) trait View {
+    /// The [`Checks`](crate::Checks) level the accessors compile in.
+    const MODE: u8;
+
+    /// Trap unless at least `n` data-stack items are live.
+    fn need(&self, cur: usize, n: usize) -> Result<(), Fault>;
+
+    /// Pop the data stack.
+    fn pop(&mut self, cur: usize) -> Result<Cell, Fault>;
+
+    /// Push onto the data stack.
+    fn push(&mut self, cur: usize, v: Cell) -> Result<(), Fault>;
+
+    /// Item `i` below the top (0 is the top); the caller has checked
+    /// that it is live.
+    fn peek(&self, i: usize) -> Cell;
+
+    /// Live data-stack items.
+    fn depth(&self) -> usize;
+
+    /// `( a -- f(a) )`.
+    fn unop(&mut self, cur: usize, f: impl FnOnce(Cell) -> Cell) -> Result<(), Fault>;
+
+    /// The return stack's cells up to its depth limit, and its depth.
+    fn rstack(&mut self) -> (&mut [Cell], &mut usize);
+
+    /// Move every register-cached item to memory: what the instructions
+    /// the static planner treats as cache-opaque (`pick`, `depth`, `?dup`)
+    /// and `halt` do first. A view without registers does nothing.
+    #[inline(always)]
+    fn flush(&mut self, _cur: usize) -> Result<(), Fault> {
+        Ok(())
+    }
+
+    /// Pop `( a b -- )`, returning `(a, b)`.
+    #[inline(always)]
+    fn pop2(&mut self, cur: usize) -> Result<(Cell, Cell), Fault> {
+        self.need(cur, 2)?;
+        let b = self.pop(cur)?;
+        let a = self.pop(cur)?;
+        Ok((a, b))
+    }
+
+    /// `( a b -- f(a, b) )`.
+    #[inline(always)]
+    fn binop(&mut self, cur: usize, f: impl FnOnce(Cell, Cell) -> Cell) -> Result<(), Fault> {
+        let (a, b) = self.pop2(cur)?;
+        self.push(cur, f(a, b))
+    }
+
+    /// `( a b -- f(a, b) )` trapping when `b` is zero, after the depth
+    /// check.
+    #[inline(always)]
+    fn divop(&mut self, cur: usize, f: impl FnOnce(Cell, Cell) -> Cell) -> Result<(), Fault> {
+        self.need(cur, 2)?;
+        if self.peek(0) == 0 {
+            return Err(Fault::division(cur));
+        }
+        self.binop(cur, f)
+    }
+
+    /// Trap unless at least `n` return-stack items are live.
+    #[inline(always)]
+    fn rneed(&mut self, cur: usize, n: usize) -> Result<(), Fault> {
+        if Self::MODE == CHECK_FULL && *self.rstack().1 < n {
+            return Err(Fault::new(cur, 0, |ip, _| VmError::ReturnStackUnderflow {
+                ip,
+            }));
+        }
+        Ok(())
+    }
+
+    /// Return-stack item `i` below the top; the caller has checked that it
+    /// is live.
+    #[inline(always)]
+    fn rpeek(&mut self, i: usize) -> Cell {
+        let (rbuf, rsp) = self.rstack();
+        rbuf[*rsp - 1 - i]
+    }
+
+    /// Pop the return stack.
+    #[inline(always)]
+    fn rpop(&mut self, cur: usize) -> Result<Cell, Fault> {
+        self.rneed(cur, 1)?;
+        let (rbuf, rsp) = self.rstack();
+        *rsp -= 1;
+        Ok(rbuf[*rsp])
+    }
+
+    /// Push onto the return stack.
+    #[inline(always)]
+    fn rpush(&mut self, cur: usize, v: Cell) -> Result<(), Fault> {
+        let (rbuf, rsp) = self.rstack();
+        if Self::MODE < CHECK_NONE && *rsp >= rbuf.len() {
+            return Err(Fault::new(cur, 0, |ip, _| VmError::ReturnStackOverflow {
+                ip,
+            }));
+        }
+        rbuf[*rsp] = v;
+        *rsp += 1;
+        Ok(())
+    }
 }
 
 /// Flat data and return stacks: `buf[..sp]` and `rbuf[..rsp]` are live,
@@ -51,78 +258,66 @@ pub(crate) struct Flat<'a, const MODE: u8> {
     pub(crate) rsp: usize,
 }
 
-impl<const MODE: u8> Flat<'_, MODE> {
-    /// Trap unless at least `n` data-stack items are live.
+impl<const M: u8> View for Flat<'_, M> {
+    const MODE: u8 = M;
+
     #[inline(always)]
-    pub(crate) fn need(&self, cur: usize, n: usize) -> Result<(), VmError> {
-        if MODE == CHECK_FULL && self.sp < n {
-            return Err(VmError::StackUnderflow { ip: cur });
+    fn need(&self, cur: usize, n: usize) -> Result<(), Fault> {
+        if M == CHECK_FULL && self.sp < n {
+            return Err(Fault::underflow(cur));
         }
         Ok(())
     }
 
-    /// Trap unless at least `n` return-stack items are live.
     #[inline(always)]
-    pub(crate) fn rneed(&self, cur: usize, n: usize) -> Result<(), VmError> {
-        if MODE == CHECK_FULL && self.rsp < n {
-            return Err(VmError::ReturnStackUnderflow { ip: cur });
-        }
-        Ok(())
-    }
-
-    /// Pop the data stack.
-    #[inline(always)]
-    pub(crate) fn pop(&mut self, cur: usize) -> Result<Cell, VmError> {
+    fn pop(&mut self, cur: usize) -> Result<Cell, Fault> {
         self.need(cur, 1)?;
         self.sp -= 1;
         Ok(self.buf[self.sp])
     }
 
-    /// Push onto the data stack.
     #[inline(always)]
-    pub(crate) fn push(&mut self, cur: usize, v: Cell) -> Result<(), VmError> {
-        if MODE < CHECK_NONE && self.sp >= self.buf.len() {
-            return Err(VmError::StackOverflow { ip: cur });
+    fn push(&mut self, cur: usize, v: Cell) -> Result<(), Fault> {
+        if M < CHECK_NONE && self.sp >= self.buf.len() {
+            return Err(Fault::overflow(cur));
         }
         self.buf[self.sp] = v;
         self.sp += 1;
         Ok(())
     }
 
-    /// Pop the return stack.
     #[inline(always)]
-    pub(crate) fn rpop(&mut self, cur: usize) -> Result<Cell, VmError> {
-        self.rneed(cur, 1)?;
-        self.rsp -= 1;
-        Ok(self.rbuf[self.rsp])
+    fn peek(&self, i: usize) -> Cell {
+        self.buf[self.sp - 1 - i]
     }
 
-    /// Push onto the return stack.
     #[inline(always)]
-    pub(crate) fn rpush(&mut self, cur: usize, v: Cell) -> Result<(), VmError> {
-        if MODE < CHECK_NONE && self.rsp >= self.rbuf.len() {
-            return Err(VmError::ReturnStackOverflow { ip: cur });
-        }
-        self.rbuf[self.rsp] = v;
-        self.rsp += 1;
+    fn depth(&self) -> usize {
+        self.sp
+    }
+
+    #[inline(always)]
+    fn unop(&mut self, cur: usize, f: impl FnOnce(Cell) -> Cell) -> Result<(), Fault> {
+        self.need(cur, 1)?;
+        self.buf[self.sp - 1] = f(self.buf[self.sp - 1]);
         Ok(())
     }
 
-    /// Pop `( a b -- )`, returning `(a, b)`.
     #[inline(always)]
-    pub(crate) fn pop2(&mut self, cur: usize) -> Result<(Cell, Cell), VmError> {
+    fn rstack(&mut self) -> (&mut [Cell], &mut usize) {
+        (&mut *self.rbuf, &mut self.rsp)
+    }
+
+    #[inline(always)]
+    fn pop2(&mut self, cur: usize) -> Result<(Cell, Cell), Fault> {
         self.need(cur, 2)?;
         self.sp -= 2;
         Ok((self.buf[self.sp], self.buf[self.sp + 1]))
     }
 
-    /// `( a b -- f(a, b) )` in place.
+    /// In place: one store, no stack-pointer round trip.
     #[inline(always)]
-    pub(crate) fn binop(
-        &mut self,
-        cur: usize,
-        f: impl FnOnce(Cell, Cell) -> Cell,
-    ) -> Result<(), VmError> {
+    fn binop(&mut self, cur: usize, f: impl FnOnce(Cell, Cell) -> Cell) -> Result<(), Fault> {
         self.need(cur, 2)?;
         let b = self.buf[self.sp - 1];
         let a = self.buf[self.sp - 2];
@@ -130,25 +325,9 @@ impl<const MODE: u8> Flat<'_, MODE> {
         self.sp -= 1;
         Ok(())
     }
+}
 
-    /// `( a -- f(a) )` in place.
-    #[inline(always)]
-    pub(crate) fn unop(&mut self, cur: usize, f: impl FnOnce(Cell) -> Cell) -> Result<(), VmError> {
-        self.need(cur, 1)?;
-        self.buf[self.sp - 1] = f(self.buf[self.sp - 1]);
-        Ok(())
-    }
-
-    /// `( a b -- f(a, b) )` trapping when `b` is zero.
-    #[inline(always)]
-    fn divop(&mut self, cur: usize, f: impl FnOnce(Cell, Cell) -> Cell) -> Result<(), VmError> {
-        self.need(cur, 2)?;
-        if self.buf[self.sp - 1] == 0 {
-            return Err(VmError::DivisionByZero { ip: cur });
-        }
-        self.binop(cur, f)
-    }
-
+impl<const MODE: u8> Flat<'_, MODE> {
     /// Copy the live stacks into `machine` (what `halt` does). Inlined so
     /// that no driver takes the view's address: the view then stays in
     /// registers rather than being stored back on every stack-pointer move.
@@ -159,26 +338,26 @@ impl<const MODE: u8> Flat<'_, MODE> {
     }
 }
 
-/// Execute `inst`, fetched from index `cur`, against `s` and `machine`.
+/// Execute `inst`, fetched from index `cur` of `code`, against `s` and
+/// `machine`.
 ///
 /// On entry `*ip` is `cur + 1`; a control transfer overwrites it. Fuel and
-/// instruction fetch are the driver's; `n_insts` is the program length,
-/// which bounds `execute` tokens and return addresses.
+/// instruction fetch are the driver's.
 ///
 /// # Errors
 ///
 /// The reference interpreter's [`VmError`]s, at `cur`, minus the depth
-/// checks `MODE` elides.
+/// checks the view's mode elides.
 #[inline(always)]
 #[allow(clippy::too_many_lines)]
-pub(crate) fn step<const MODE: u8>(
-    s: &mut Flat<'_, MODE>,
+pub(crate) fn step<V: View>(
+    s: &mut V,
     inst: Inst,
     cur: usize,
     ip: &mut usize,
     machine: &mut Machine,
-    n_insts: usize,
-) -> Result<Flow, VmError> {
+    code: Code<'_>,
+) -> Result<Flow, Fault> {
     match inst {
         Inst::Lit(n) => s.push(cur, n)?,
         Inst::Add => s.binop(cur, Cell::wrapping_add)?,
@@ -215,86 +394,102 @@ pub(crate) fn step<const MODE: u8>(
         Inst::CellPlus => s.unop(cur, |a| a.wrapping_add(CELL_BYTES as Cell))?,
         Inst::Cells => s.unop(cur, |a| a.wrapping_mul(CELL_BYTES as Cell))?,
         Inst::Dup => {
-            s.need(cur, 1)?;
-            let a = s.buf[s.sp - 1];
+            let a = s.pop(cur)?;
+            s.push(cur, a)?;
             s.push(cur, a)?;
         }
         Inst::Drop => {
-            s.need(cur, 1)?;
-            s.sp -= 1;
+            s.pop(cur)?;
         }
         Inst::Swap => {
-            s.need(cur, 2)?;
-            s.buf.swap(s.sp - 1, s.sp - 2);
+            let (a, b) = s.pop2(cur)?;
+            s.push(cur, b)?;
+            s.push(cur, a)?;
         }
         Inst::Over => {
-            s.need(cur, 2)?;
-            let a = s.buf[s.sp - 2];
+            let (a, b) = s.pop2(cur)?;
+            s.push(cur, a)?;
+            s.push(cur, b)?;
             s.push(cur, a)?;
         }
         Inst::Rot => {
             s.need(cur, 3)?;
-            let sp = s.sp;
-            let a = s.buf[sp - 3];
-            s.buf[sp - 3] = s.buf[sp - 2];
-            s.buf[sp - 2] = s.buf[sp - 1];
-            s.buf[sp - 1] = a;
+            let (b, c) = s.pop2(cur)?;
+            let a = s.pop(cur)?;
+            s.push(cur, b)?;
+            s.push(cur, c)?;
+            s.push(cur, a)?;
         }
         Inst::MinusRot => {
             s.need(cur, 3)?;
-            let sp = s.sp;
-            let c = s.buf[sp - 1];
-            s.buf[sp - 1] = s.buf[sp - 2];
-            s.buf[sp - 2] = s.buf[sp - 3];
-            s.buf[sp - 3] = c;
+            let (b, c) = s.pop2(cur)?;
+            let a = s.pop(cur)?;
+            s.push(cur, c)?;
+            s.push(cur, a)?;
+            s.push(cur, b)?;
         }
         Inst::Nip => {
-            s.need(cur, 2)?;
-            s.buf[s.sp - 2] = s.buf[s.sp - 1];
-            s.sp -= 1;
+            let (_, b) = s.pop2(cur)?;
+            s.push(cur, b)?;
         }
         Inst::Tuck => {
-            s.need(cur, 2)?;
-            s.buf.swap(s.sp - 2, s.sp - 1);
-            s.push(cur, s.buf[s.sp - 2])?;
+            let (a, b) = s.pop2(cur)?;
+            s.push(cur, b)?;
+            s.push(cur, a)?;
+            s.push(cur, b)?;
         }
         Inst::TwoDup => {
-            s.need(cur, 2)?;
-            let (a, b) = (s.buf[s.sp - 2], s.buf[s.sp - 1]);
+            let (a, b) = s.pop2(cur)?;
+            s.push(cur, a)?;
+            s.push(cur, b)?;
             s.push(cur, a)?;
             s.push(cur, b)?;
         }
         Inst::TwoDrop => {
-            s.need(cur, 2)?;
-            s.sp -= 2;
+            s.pop2(cur)?;
         }
         Inst::TwoSwap => {
             s.need(cur, 4)?;
-            s.buf.swap(s.sp - 4, s.sp - 2);
-            s.buf.swap(s.sp - 3, s.sp - 1);
-        }
-        Inst::TwoOver => {
-            s.need(cur, 4)?;
-            let (a, b) = (s.buf[s.sp - 4], s.buf[s.sp - 3]);
+            let (c, d) = s.pop2(cur)?;
+            let (a, b) = s.pop2(cur)?;
+            s.push(cur, c)?;
+            s.push(cur, d)?;
             s.push(cur, a)?;
             s.push(cur, b)?;
         }
+        Inst::TwoOver => {
+            s.need(cur, 4)?;
+            let (c, d) = s.pop2(cur)?;
+            let (a, b) = s.pop2(cur)?;
+            for v in [a, b, c, d, a, b] {
+                s.push(cur, v)?;
+            }
+        }
         Inst::QDup => {
+            s.flush(cur)?;
             s.need(cur, 1)?;
-            let a = s.buf[s.sp - 1];
+            let a = s.peek(0);
             if a != 0 {
                 s.push(cur, a)?;
+                s.flush(cur)?;
             }
         }
         Inst::Pick => {
+            s.flush(cur)?;
             let u = s.pop(cur)?;
-            if u < 0 || u as usize >= s.sp {
-                return Err(VmError::PickOutOfRange { ip: cur, index: u });
+            if u < 0 || u as usize >= s.depth() {
+                return Err(Fault::new(cur, u, |ip, index| VmError::PickOutOfRange {
+                    ip,
+                    index,
+                }));
             }
-            let v = s.buf[s.sp - 1 - u as usize];
+            let v = s.peek(u as usize);
             s.push(cur, v)?;
         }
-        Inst::Depth => s.push(cur, s.sp as Cell)?,
+        Inst::Depth => {
+            s.flush(cur)?;
+            s.push(cur, s.depth() as Cell)?;
+        }
         Inst::ToR => {
             let a = s.pop(cur)?;
             s.rpush(cur, a)?;
@@ -305,7 +500,8 @@ pub(crate) fn step<const MODE: u8>(
         }
         Inst::RFetch | Inst::LoopI => {
             s.rneed(cur, 1)?;
-            s.push(cur, s.rbuf[s.rsp - 1])?;
+            let a = s.rpeek(0);
+            s.push(cur, a)?;
         }
         Inst::TwoToR | Inst::DoSetup => {
             let (a, b) = s.pop2(cur)?;
@@ -320,36 +516,22 @@ pub(crate) fn step<const MODE: u8>(
         }
         Inst::TwoRFetch => {
             s.rneed(cur, 2)?;
-            let (a, b) = (s.rbuf[s.rsp - 2], s.rbuf[s.rsp - 1]);
+            let (a, b) = (s.rpeek(1), s.rpeek(0));
             s.push(cur, a)?;
             s.push(cur, b)?;
         }
-        Inst::Fetch => {
-            s.need(cur, 1)?;
-            let addr = s.buf[s.sp - 1];
-            match machine.load_cell(addr) {
-                Some(x) => s.buf[s.sp - 1] = x,
-                None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-            }
-        }
-        Inst::CFetch => {
-            s.need(cur, 1)?;
-            let addr = s.buf[s.sp - 1];
-            match machine.load_byte(addr) {
-                Some(x) => s.buf[s.sp - 1] = x,
-                None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
-            }
-        }
+        Inst::Fetch => fetch(s, cur, |addr| machine.load_cell(addr))?,
+        Inst::CFetch => fetch(s, cur, |addr| machine.load_byte(addr))?,
         Inst::Store => {
             let (x, addr) = s.pop2(cur)?;
             if !machine.store_cell(addr, x) {
-                return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
+                return Err(Fault::memory(cur, addr));
             }
         }
         Inst::CStore => {
             let (x, addr) = s.pop2(cur)?;
             if !machine.store_byte(addr, x) {
-                return Err(VmError::MemoryOutOfBounds { ip: cur, addr });
+                return Err(Fault::memory(cur, addr));
             }
         }
         Inst::PlusStore => {
@@ -358,7 +540,7 @@ pub(crate) fn step<const MODE: u8>(
                 Some(x) => {
                     machine.store_cell(addr, x.wrapping_add(n));
                 }
-                None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr }),
+                None => return Err(Fault::memory(cur, addr)),
             }
         }
         Inst::Branch(t) => {
@@ -378,22 +560,29 @@ pub(crate) fn step<const MODE: u8>(
         }
         Inst::Execute => {
             let token = s.pop(cur)?;
-            if token < 0 || token as usize >= n_insts {
-                return Err(VmError::InvalidExecutionToken { ip: cur, token });
-            }
+            let Some(target) = code.target(token) else {
+                return Err(Fault::new(cur, token, |ip, token| {
+                    VmError::InvalidExecutionToken { ip, token }
+                }));
+            };
             s.rpush(cur, *ip as Cell)?;
-            *ip = token as usize;
+            *ip = target;
             return Ok(Flow::Jump);
         }
         Inst::Return => {
             let ret = s.rpop(cur)?;
-            if ret < 0 || ret as usize > n_insts {
-                return Err(VmError::InstructionOutOfBounds { ip: ret as usize });
+            if ret < 0 || ret as usize > code.len {
+                return Err(Fault::new(ret as usize, 0, |ip, _| {
+                    VmError::InstructionOutOfBounds { ip }
+                }));
             }
             *ip = ret as usize;
             return Ok(Flow::Jump);
         }
-        Inst::Halt => return Ok(Flow::Halt),
+        Inst::Halt => {
+            s.flush(cur)?;
+            return Ok(Flow::Halt);
+        }
         Inst::Nop => {}
         Inst::QDoSetup(t) => {
             let (limit, start) = s.pop2(cur)?;
@@ -407,11 +596,12 @@ pub(crate) fn step<const MODE: u8>(
         }
         Inst::LoopInc(t) => {
             s.rneed(cur, 2)?;
-            let index = s.rbuf[s.rsp - 1].wrapping_add(1);
-            if index == s.rbuf[s.rsp - 2] {
-                s.rsp -= 2;
+            let (rbuf, rsp) = s.rstack();
+            let index = rbuf[*rsp - 1].wrapping_add(1);
+            if index == rbuf[*rsp - 2] {
+                *rsp -= 2;
             } else {
-                s.rbuf[s.rsp - 1] = index;
+                rbuf[*rsp - 1] = index;
                 *ip = t as usize;
             }
             return Ok(Flow::Jump);
@@ -419,29 +609,31 @@ pub(crate) fn step<const MODE: u8>(
         Inst::PlusLoopInc(t) => {
             let step = s.pop(cur)?;
             s.rneed(cur, 2)?;
-            let old = s.rbuf[s.rsp - 1];
+            let (rbuf, rsp) = s.rstack();
+            let old = rbuf[*rsp - 1];
             let new = old.wrapping_add(step);
-            let limit = s.rbuf[s.rsp - 2];
+            let limit = rbuf[*rsp - 2];
             let crossed = if step >= 0 {
                 old < limit && new >= limit
             } else {
                 old >= limit && new < limit
             };
             if crossed {
-                s.rsp -= 2;
+                *rsp -= 2;
             } else {
-                s.rbuf[s.rsp - 1] = new;
+                rbuf[*rsp - 1] = new;
                 *ip = t as usize;
             }
             return Ok(Flow::Jump);
         }
         Inst::LoopJ => {
             s.rneed(cur, 4)?;
-            s.push(cur, s.rbuf[s.rsp - 3])?;
+            let a = s.rpeek(2);
+            s.push(cur, a)?;
         }
         Inst::Unloop => {
             s.rneed(cur, 2)?;
-            s.rsp -= 2;
+            *s.rstack().1 -= 2;
         }
         Inst::Emit => {
             let c = s.pop(cur)?;
@@ -454,17 +646,32 @@ pub(crate) fn step<const MODE: u8>(
         Inst::Type => {
             let (addr, len) = s.pop2(cur)?;
             if len < 0 {
-                return Err(VmError::MemoryOutOfBounds { ip: cur, addr: len });
+                return Err(Fault::memory(cur, len));
             }
             for i in 0..len {
                 let a = addr.wrapping_add(i);
                 match machine.load_byte(a) {
                     Some(byte) => machine.push_output_byte(byte as u8),
-                    None => return Err(VmError::MemoryOutOfBounds { ip: cur, addr: a }),
+                    None => return Err(Fault::memory(cur, a)),
                 }
             }
         }
         Inst::Cr => machine.push_output_byte(b'\n'),
     }
     Ok(Flow::Next)
+}
+
+/// `( addr -- x )` where `load` reads `x`, trapping when it cannot.
+#[inline(always)]
+fn fetch<V: View>(
+    s: &mut V,
+    cur: usize,
+    load: impl FnOnce(Cell) -> Option<Cell>,
+) -> Result<(), Fault> {
+    s.need(cur, 1)?;
+    let addr = s.peek(0);
+    let Some(x) = load(addr) else {
+        return Err(Fault::memory(cur, addr));
+    };
+    s.unop(cur, |_| x)
 }

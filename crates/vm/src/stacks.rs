@@ -14,9 +14,10 @@
 //! cell at or above the current stack pointer: every read is below it,
 //! guarded by an underflow check or by a proof that rules underflow out
 //! ([`Checks`](crate::Checks)). Stale cells left by an earlier run are
-//! therefore never observed. The one exception is the static engine's
-//! sentinel cells below the user stack, which its canonical cache state
-//! loads without ever having written them; `lease` zeroes those. Debug
+//! therefore never observed. The exceptions are the sentinel cells below
+//! the user stack, which the static engine's canonical cache state and the
+//! top-of-stack register load without ever having written them; `lease`
+//! zeroes those. Debug
 //! builds fill every returned buffer with a poison pattern so the test
 //! suites run on dirty buffers and catch any engine that breaks the rule.
 
@@ -27,7 +28,7 @@ use crate::machine::Machine;
 use crate::sem::Flat;
 
 /// Most sentinel cells any engine asks for: the static engine's deepest
-/// canonical cache state.
+/// canonical cache state (the top-of-stack engine takes one).
 pub const MAX_SENTINELS: usize = 3;
 
 /// Engines clamp the machine's depth limits to this many cells.

@@ -18,7 +18,7 @@ use crate::checks::{Checks, CHECK_FULL, CHECK_NONE, CHECK_NO_UNDERFLOW};
 use crate::error::VmError;
 use crate::machine::Machine;
 use crate::program::Program;
-use crate::sem::{step, Flow};
+use crate::sem::{step, Code, Flow};
 use crate::stacks::FlatStacks;
 
 /// Why [`run_span`] stopped without trapping.
@@ -75,8 +75,8 @@ pub fn run_span(
 /// The span loop over the leased stack cells, kept out of line (see
 /// [`FlatStacks`]): [`step`] until a [`Flow::Jump`], `halt` or `stop`,
 /// then write `sp`/`rsp` back into `st` on every exit, traps included, so
-/// the caller sees the stacks exactly as they were at the faulting
-/// instruction and can report or resume.
+/// the caller can resume where the span stopped. After a trap the faulting
+/// instruction's operands may be partly moved.
 #[inline(never)]
 fn span_loop<const MODE: u8>(
     program: &Program,
@@ -88,6 +88,7 @@ fn span_loop<const MODE: u8>(
     executed: &mut u64,
 ) -> Result<SpanExit, VmError> {
     let insts = program.insts();
+    let code = Code::plain(insts.len());
     let mut s = st.flat::<MODE>();
     let exit = loop {
         if *executed >= fuel {
@@ -99,14 +100,14 @@ fn span_loop<const MODE: u8>(
         *executed += 1;
         let cur = ip;
         ip += 1;
-        match step(&mut s, inst, cur, &mut ip, machine, insts.len()) {
+        match step(&mut s, inst, cur, &mut ip, machine, code) {
             Ok(Flow::Next) if ip != stop => {}
             Ok(Flow::Halt) => {
                 s.publish(machine);
                 break Ok(SpanExit::Halted);
             }
             Ok(_) => break Ok(SpanExit::Continue(ip)),
-            Err(e) => break Err(e),
+            Err(e) => break Err(e.error()),
         }
     };
     (st.sp, st.rsp) = (s.sp, s.rsp);
