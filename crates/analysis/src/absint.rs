@@ -187,49 +187,109 @@ impl AVal {
     }
 }
 
+/// Known values near the top of stack, bottom first: a fixed window of at
+/// most [`TOPS_WINDOW`] values, kept inline so frames copy without
+/// allocating.
+#[derive(Debug, Clone, Copy)]
+struct Tops {
+    vals: [AVal; TOPS_WINDOW],
+    len: u8,
+}
+
+impl PartialEq for Tops {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Tops {
+    const EMPTY: Tops = Tops {
+        vals: [AVal::Any; TOPS_WINDOW],
+        len: 0,
+    };
+
+    fn as_slice(&self) -> &[AVal] {
+        &self.vals[..usize::from(self.len)]
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.len)
+    }
+
+    fn last(&self) -> Option<AVal> {
+        self.as_slice().last().copied()
+    }
+
+    /// Push `v` on top, dropping the bottom value when the window is full.
+    fn push(&mut self, v: AVal) {
+        if self.len() == TOPS_WINDOW {
+            self.vals.copy_within(1.., 0);
+            self.len -= 1;
+        }
+        self.vals[self.len()] = v;
+        self.len += 1;
+    }
+
+    fn pop(&mut self) -> Option<AVal> {
+        let v = self.last()?;
+        self.len -= 1;
+        Some(v)
+    }
+
+    fn truncate(&mut self, len: usize) {
+        if len < self.len() {
+            self.len = len as u8;
+        }
+    }
+
+    fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Drop uninformative bottom entries so equal knowledge compares equal.
+    fn trim_bottom(&mut self) {
+        let any = self
+            .as_slice()
+            .iter()
+            .take_while(|&&v| v == AVal::Any)
+            .count();
+        let len = self.len();
+        self.vals.copy_within(any..len, 0);
+        self.len -= any as u8;
+    }
+}
+
 /// One disjunctive abstract frame at a program point.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 struct Frame {
     /// Lower bound of data depth relative to word entry.
     dlo: i64,
     /// Upper bound of data depth relative to word entry.
     dhi: i64,
     /// Known values near the top (`last()` is the top of stack).
-    tops: Vec<AVal>,
+    tops: Tops,
     /// Exact return-stack cells pushed since word entry.
     r: usize,
 }
 
 impl Frame {
-    fn entry() -> Self {
-        Frame {
-            dlo: 0,
-            dhi: 0,
-            tops: Vec::new(),
-            r: 0,
-        }
-    }
+    const ENTRY: Frame = Frame {
+        dlo: 0,
+        dhi: 0,
+        tops: Tops::EMPTY,
+        r: 0,
+    };
 
     fn push(&mut self, v: AVal) {
         self.dlo = sadd(self.dlo, 1);
         self.dhi = sadd(self.dhi, 1);
         self.tops.push(v);
-        if self.tops.len() > TOPS_WINDOW {
-            self.tops.remove(0);
-        }
     }
 
     fn pop(&mut self) -> AVal {
         self.dlo = sadd(self.dlo, -1);
         self.dhi = sadd(self.dhi, -1);
         self.tops.pop().unwrap_or(AVal::Any)
-    }
-
-    /// Drop uninformative bottom entries so equal knowledge compares equal.
-    fn canon(&mut self) {
-        while self.tops.first() == Some(&AVal::Any) {
-            self.tops.remove(0);
-        }
     }
 }
 
@@ -335,7 +395,7 @@ struct FrozenMem {
 
 impl FrozenMem {
     fn compute(p: &Program) -> Self {
-        let leaders: BTreeSet<usize> = p.leaders().into_iter().collect();
+        let mut leaders = None;
         let mut ranges = Vec::new();
         let mut all_mutable = false;
         for (ip, inst) in p.insts().iter().enumerate() {
@@ -346,7 +406,8 @@ impl FrozenMem {
             };
             // The address is known only when the store directly follows
             // the Lit producing it (no branch can land between them).
-            if ip > 0 && !leaders.contains(&ip) {
+            let leaders = leaders.get_or_insert_with(|| p.leaders());
+            if ip > 0 && leaders.binary_search(&ip).is_err() {
                 if let Inst::Lit(a) = p.insts()[ip - 1] {
                     ranges.push((a, width));
                     continue;
@@ -372,14 +433,101 @@ impl FrozenMem {
     }
 }
 
-/// Per-word analysis output.
+/// Per-word analysis output, kept from a word's latest run.
 struct WordResult {
     summary: Summary,
-    points: BTreeMap<usize, Point>,
-    preds: BTreeMap<usize, usize>,
-    deps: BTreeSet<(Cell, Cell)>,
-    pending: BTreeSet<usize>,
-    lints: Vec<(LintKind, usize, String)>,
+    /// `(ip, first predecessor)` for every point the run reached from
+    /// another, in ascending `ip` order: what witness paths walk.
+    preds: Vec<(usize, usize)>,
+    /// `(ip, data-stack demand)` for every point the run reached, in
+    /// ascending `ip` order.
+    needs: Vec<(usize, i64)>,
+    /// Frozen `(address, value)` cells the run resolved, sorted and unique.
+    deps: Vec<(Cell, Cell)>,
+    /// `(kind, ip, folded value)`; the reason text is rendered only for
+    /// the final results (see [`lint_reason`]).
+    lints: Vec<(LintKind, usize, Cell)>,
+}
+
+/// Marker in [`Tables::preds`]: no predecessor recorded.
+const NO_PRED: usize = usize::MAX;
+
+/// The per-point tables of one word run, dense by `ip` (one slot past the
+/// last instruction, where a path falls off the program). Allocated once
+/// per [`analyze_with`]; a run resets only the points it reached.
+struct Tables {
+    /// Disjunctive frames per point.
+    frames: Vec<Vec<Frame>>,
+    /// Changing joins per point.
+    visits: Vec<u32>,
+    points: Vec<Point>,
+    /// First predecessor per point, [`NO_PRED`] if unreached.
+    preds: Vec<usize>,
+    /// Per-branch fold consistency: `None` = never stepped, `Some(Some(true))`
+    /// = always taken (zero condition), `Some(Some(false))` = never taken
+    /// (non-zero), `Some(None)` = mixed.
+    branch_folds: Vec<Option<Option<bool>>>,
+    /// Per-instruction constant-fold consistency: `None` = never folded,
+    /// `Some(Some(v))` = the result is `v` on every abstract path,
+    /// `Some(None)` = imprecise or varying.
+    const_folds: Vec<Option<Option<Cell>>>,
+    /// Join points where interval widening saturated an endpoint.
+    widened: Vec<bool>,
+    /// Whether the point is on the worklist.
+    on_list: Vec<bool>,
+    /// Points this run reached, in first-reached order.
+    touched: Vec<usize>,
+    worklist: Vec<usize>,
+    /// The frames of the point being stepped, copied out of `frames`.
+    cur: Vec<Frame>,
+    /// `(net_lo, net_hi, top)` at every reachable `return`.
+    variants: Vec<(i64, i64, AVal)>,
+    /// Frozen cells resolved, with repeats.
+    deps: Vec<(Cell, Cell)>,
+    /// Called words without a summary yet, with repeats: words still to
+    /// analyze.
+    pending: Vec<usize>,
+}
+
+impl Tables {
+    fn new(len: usize) -> Self {
+        let n = len + 1;
+        Tables {
+            frames: vec![Vec::new(); n],
+            visits: vec![0; n],
+            points: vec![Point::new(); n],
+            preds: vec![NO_PRED; n],
+            branch_folds: vec![None; n],
+            const_folds: vec![None; n],
+            widened: vec![false; n],
+            on_list: vec![false; n],
+            touched: Vec::new(),
+            worklist: Vec::new(),
+            cur: Vec::new(),
+            variants: Vec::new(),
+            deps: Vec::new(),
+            pending: Vec::new(),
+        }
+    }
+
+    /// Forget the previous run.
+    fn reset(&mut self) {
+        for &ip in &self.touched {
+            self.frames[ip].clear();
+            self.visits[ip] = 0;
+            self.points[ip] = Point::new();
+            self.preds[ip] = NO_PRED;
+            self.branch_folds[ip] = None;
+            self.const_folds[ip] = None;
+            self.widened[ip] = false;
+            self.on_list[ip] = false;
+        }
+        self.touched.clear();
+        self.worklist.clear();
+        self.variants.clear();
+        self.deps.clear();
+        self.pending.clear();
+    }
 }
 
 /// Analysis context for a single word.
@@ -390,38 +538,17 @@ struct WordCtx<'a> {
     summaries: &'a BTreeMap<usize, Summary>,
     frozen: &'a FrozenMem,
     mem: Option<&'a Machine>,
-    frames: BTreeMap<usize, Vec<Frame>>,
-    visits: BTreeMap<usize, u32>,
-    points: BTreeMap<usize, Point>,
-    preds: BTreeMap<usize, usize>,
-    variants: Vec<(i64, i64, AVal)>,
+    t: &'a mut Tables,
     consumes: i64,
     consumes_at: Option<(usize, usize)>,
     dd: i64,
     dd_at: Option<(usize, usize)>,
-    deps: BTreeSet<(Cell, Cell)>,
-    pending: BTreeSet<usize>,
-    /// Per-branch fold consistency: `Some(true)` = always taken (zero
-    /// condition), `Some(false)` = never taken (non-zero), `None` = mixed.
-    branch_folds: BTreeMap<usize, Option<bool>>,
-    /// Per-instruction constant-fold consistency: `Some(v)` = the result
-    /// is `v` on every abstract path, `None` = imprecise or varying.
-    const_folds: BTreeMap<usize, Option<Cell>>,
-    /// Join points where interval widening saturated an endpoint.
-    widened: BTreeSet<usize>,
 }
 
 impl<'a> WordCtx<'a> {
     /// Record how a conditional branch resolved on this abstract path.
     fn note_branch(&mut self, ip: usize, taken: Option<bool>) {
-        self.branch_folds
-            .entry(ip)
-            .and_modify(|e| {
-                if *e != taken {
-                    *e = None;
-                }
-            })
-            .or_insert(taken);
+        note_consistent(&mut self.t.branch_folds[ip], taken);
     }
 
     /// Record the folded result of a computational instruction.
@@ -430,21 +557,15 @@ impl<'a> WordCtx<'a> {
             AVal::Const(c) => Some(c),
             _ => None,
         };
-        self.const_folds
-            .entry(ip)
-            .and_modify(|e| {
-                if *e != c {
-                    *e = None;
-                }
-            })
-            .or_insert(c);
+        note_consistent(&mut self.t.const_folds[ip], c);
     }
+
     /// Record a data-stack demand of `n` cells at `ip` given frame `f`.
     fn note_need(&mut self, ip: usize, f: &Frame, n: i64) {
         if n <= 0 {
             return;
         }
-        let pt = self.points.entry(ip).or_insert_with(Point::new);
+        let pt = &mut self.t.points[ip];
         pt.need = pt.need.max(n);
         let contribution = sadd(n, -f.dlo);
         if contribution > self.consumes {
@@ -458,16 +579,23 @@ impl<'a> WordCtx<'a> {
         }
     }
 
+    /// Raise the return-stack peak at `ip` to `r`.
+    fn note_rpeak(&mut self, ip: usize, r: usize) {
+        let pt = &mut self.t.points[ip];
+        pt.rpeak = pt.rpeak.max(r as i64);
+    }
+
     /// Apply a resolved call to `target` from frame `f` at `ip`.
     fn do_call(
         &mut self,
         ip: usize,
         target: usize,
         f: &Frame,
-    ) -> Result<Vec<(usize, Frame)>, String> {
+        out: &mut Vec<(usize, Frame)>,
+    ) -> Result<(), String> {
         let Some(s) = self.summaries.get(&target) else {
-            self.pending.insert(target);
-            return Ok(Vec::new());
+            self.t.pending.push(target);
+            return Ok(());
         };
         if s.unknown.is_some() {
             return Err(format!("calls word @{target} that could not be analyzed"));
@@ -475,7 +603,7 @@ impl<'a> WordCtx<'a> {
         // Transitive demands: the callee's consumption applies at the
         // caller's depth here; its definite demand composes on the upper
         // bound; its growth composes on both stacks.
-        let pt = self.points.entry(ip).or_insert_with(Point::new);
+        let pt = &mut self.t.points[ip];
         pt.need = pt.need.max(s.consumes);
         pt.peak = pt.peak.max(sadd(f.dhi, s.grow));
         pt.rpeak = pt.rpeak.max(sadd(f.r as i64 + 1, s.r_grow));
@@ -490,55 +618,54 @@ impl<'a> WordCtx<'a> {
             self.dd_at = s.dd_at.or(Some((self.entry, ip)));
         }
         if !s.has_return {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let mut out = Vec::new();
         if s.variants.is_empty() {
-            let mut g = f.clone();
+            let mut g = *f;
             apply_call_effect(&mut g, s.consumes, s.net_lo, s.net_hi, AVal::Any);
             out.push((ip + 1, g));
         } else {
             for &(net, top) in &s.variants {
-                let mut g = f.clone();
+                let mut g = *f;
                 apply_call_effect(&mut g, s.consumes, net, net, top);
                 out.push((ip + 1, g));
             }
         }
-        Ok(out)
+        Ok(())
     }
 
-    /// Abstractly execute the instruction at `ip` on frame `f`.
+    /// Abstractly execute the instruction at `ip` on frame `f`, writing
+    /// its successors to `out`.
     #[allow(clippy::too_many_lines)]
-    fn step(&mut self, ip: usize, f: &Frame) -> Result<Vec<(usize, Frame)>, String> {
+    fn step(&mut self, ip: usize, f: &Frame, out: &mut Vec<(usize, Frame)>) -> Result<(), String> {
         let Some(&inst) = self.p.insts().get(ip) else {
             // Falling off the program is an InstructionOutOfBounds trap in
             // every mode: the path ends here.
-            return Ok(Vec::new());
+            return Ok(());
         };
         let eff = inst.effect();
         self.note_need(ip, f, i64::from(eff.pops));
         {
-            let pt = self.points.entry(ip).or_insert_with(Point::new);
+            let pt = &mut self.t.points[ip];
             pt.peak = pt.peak.max(f.dhi);
             pt.rpeak = pt.rpeak.max(f.r as i64);
         }
         let fall = ip + 1;
-        let mut g = f.clone();
-        let out: Vec<(usize, Frame)> = match inst {
+        let mut g = *f;
+        match inst {
             Inst::Lit(n) => {
                 g.push(AVal::Const(n));
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Div | Inst::Mod => {
                 let b = g.pop();
                 let a = g.pop();
-                if b == AVal::Const(0) {
-                    Vec::new() // definite division-by-zero: path ends
-                } else {
+                // definite division-by-zero: the path ends
+                if b != AVal::Const(0) {
                     let v = fold2(inst, a, b);
                     self.note_fold(ip, v);
                     g.push(v);
-                    vec![(fall, g)]
+                    out.push((fall, g));
                 }
             }
             Inst::Add
@@ -564,7 +691,7 @@ impl<'a> WordCtx<'a> {
                 let v = fold2(inst, a, b);
                 self.note_fold(ip, v);
                 g.push(v);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Negate
             | Inst::Invert
@@ -584,24 +711,24 @@ impl<'a> WordCtx<'a> {
                 let v = fold1(inst, a);
                 self.note_fold(ip, v);
                 g.push(v);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Dup => {
                 let a = g.pop();
                 g.push(a);
                 g.push(a);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Drop => {
                 g.pop();
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Swap => {
                 let b = g.pop();
                 let a = g.pop();
                 g.push(b);
                 g.push(a);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Over => {
                 let b = g.pop();
@@ -609,7 +736,7 @@ impl<'a> WordCtx<'a> {
                 g.push(a);
                 g.push(b);
                 g.push(a);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Rot => {
                 let c = g.pop();
@@ -618,7 +745,7 @@ impl<'a> WordCtx<'a> {
                 g.push(b);
                 g.push(c);
                 g.push(a);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::MinusRot => {
                 let c = g.pop();
@@ -627,13 +754,13 @@ impl<'a> WordCtx<'a> {
                 g.push(c);
                 g.push(a);
                 g.push(b);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Nip => {
                 let b = g.pop();
                 let _ = g.pop();
                 g.push(b);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Tuck => {
                 let b = g.pop();
@@ -641,7 +768,7 @@ impl<'a> WordCtx<'a> {
                 g.push(b);
                 g.push(a);
                 g.push(b);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::TwoDup => {
                 let b = g.pop();
@@ -650,12 +777,12 @@ impl<'a> WordCtx<'a> {
                 g.push(b);
                 g.push(a);
                 g.push(b);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::TwoDrop => {
                 g.pop();
                 g.pop();
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::TwoSwap => {
                 let d = g.pop();
@@ -666,7 +793,7 @@ impl<'a> WordCtx<'a> {
                 g.push(d);
                 g.push(a);
                 g.push(b);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::TwoOver => {
                 let d = g.pop();
@@ -679,29 +806,29 @@ impl<'a> WordCtx<'a> {
                 g.push(d);
                 g.push(a);
                 g.push(b);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::QDup => {
                 let a = g.pop();
                 match a {
                     AVal::Const(0) => {
                         g.push(AVal::Const(0));
-                        vec![(fall, g)]
+                        out.push((fall, g));
                     }
                     AVal::Const(v) => {
                         g.push(AVal::Const(v));
                         g.push(AVal::Const(v));
-                        vec![(fall, g)]
+                        out.push((fall, g));
                     }
                     v if v.nonzero() => {
                         g.push(v);
                         g.push(v);
-                        vec![(fall, g)]
+                        out.push((fall, g));
                     }
                     v => {
                         // Fork: the no-dup outcome pins the top to zero,
                         // the dup outcome refines the value as non-zero.
-                        let mut z = g.clone();
+                        let mut z = g;
                         z.push(AVal::Const(0));
                         let nz = match v {
                             AVal::Any => AVal::NonZero,
@@ -711,7 +838,8 @@ impl<'a> WordCtx<'a> {
                         };
                         g.push(nz);
                         g.push(nz);
-                        vec![(fall, z), (fall, g)]
+                        out.push((fall, z));
+                        out.push((fall, g));
                     }
                 }
             }
@@ -721,22 +849,21 @@ impl<'a> WordCtx<'a> {
                 let u = g.pop();
                 if let AVal::Const(n) = u {
                     if n < 0 {
-                        return Ok(Vec::new()); // always out of range
+                        return Ok(()); // always out of range
                     }
                 }
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Depth => {
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::ToR => {
                 g.pop();
                 g.r += 1;
-                let pt = self.points.entry(ip).or_insert_with(Point::new);
-                pt.rpeak = pt.rpeak.max(g.r as i64);
-                vec![(fall, g)]
+                self.note_rpeak(ip, g.r);
+                out.push((fall, g));
             }
             Inst::FromR => {
                 if g.r < 1 {
@@ -744,22 +871,21 @@ impl<'a> WordCtx<'a> {
                 }
                 g.r -= 1;
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::RFetch => {
                 if g.r < 1 {
                     return Err("reads the return stack below the word frame".into());
                 }
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::TwoToR => {
                 g.pop();
                 g.pop();
                 g.r += 2;
-                let pt = self.points.entry(ip).or_insert_with(Point::new);
-                pt.rpeak = pt.rpeak.max(g.r as i64);
-                vec![(fall, g)]
+                self.note_rpeak(ip, g.r);
+                out.push((fall, g));
             }
             Inst::TwoFromR => {
                 if g.r < 2 {
@@ -768,7 +894,7 @@ impl<'a> WordCtx<'a> {
                 g.r -= 2;
                 g.push(AVal::Any);
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::TwoRFetch => {
                 if g.r < 2 {
@@ -776,7 +902,7 @@ impl<'a> WordCtx<'a> {
                 }
                 g.push(AVal::Any);
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Fetch => {
                 let a = g.pop();
@@ -787,152 +913,154 @@ impl<'a> WordCtx<'a> {
                         // machine may be sized differently, and every
                         // mode retains the memory check.
                         if let Some(x) = m.load_cell(addr) {
-                            self.deps.insert((addr, x));
+                            self.t.deps.push((addr, x));
                             v = AVal::Const(x);
                         }
                     }
                 }
                 g.push(v);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::CFetch => {
                 // Byte loads are zero-extended: the result is in [0, 255].
                 g.pop();
                 g.push(AVal::range(0, 255));
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Store | Inst::CStore | Inst::PlusStore => {
                 g.pop();
                 g.pop();
-                vec![(fall, g)]
+                out.push((fall, g));
             }
-            Inst::Branch(t) => vec![(t as usize, g)],
+            Inst::Branch(t) => out.push((t as usize, g)),
             Inst::BranchIfZero(t) => {
                 let c = g.pop();
                 if c == AVal::Const(0) {
                     self.note_branch(ip, Some(true));
-                    vec![(t as usize, g)]
+                    out.push((t as usize, g));
                 } else if c.nonzero() {
                     self.note_branch(ip, Some(false));
-                    vec![(fall, g)]
+                    out.push((fall, g));
                 } else {
                     self.note_branch(ip, None);
-                    vec![(t as usize, g.clone()), (fall, g)]
+                    out.push((t as usize, g));
+                    out.push((fall, g));
                 }
             }
-            Inst::Call(t) => self.do_call(ip, t as usize, f)?,
-            Inst::Execute => {
-                let tok = g.pop();
-                match tok {
-                    AVal::Const(c) => {
-                        if c < 0 || c as usize >= self.p.len() {
-                            Vec::new() // always an invalid token
-                        } else {
-                            self.do_call(ip, c as usize, &g)?
-                        }
+            Inst::Call(t) => self.do_call(ip, t as usize, f, out)?,
+            Inst::Execute => match g.pop() {
+                AVal::Const(c) => {
+                    // a token outside the program is always invalid
+                    if c >= 0 && (c as usize) < self.p.len() {
+                        self.do_call(ip, c as usize, &g, out)?;
                     }
-                    _ => return Err("executes an unresolvable token".into()),
                 }
-            }
+                _ => return Err("executes an unresolvable token".into()),
+            },
             Inst::Return => {
                 if g.r != 0 {
                     return Err("returns with word-frame cells still on the return stack".into());
                 }
-                let top = g.tops.last().copied().unwrap_or(AVal::Any);
-                self.variants.push((g.dlo, g.dhi, top));
-                Vec::new()
+                let top = g.tops.last().unwrap_or(AVal::Any);
+                self.t.variants.push((g.dlo, g.dhi, top));
             }
-            Inst::Halt => Vec::new(),
-            Inst::Nop => vec![(fall, g)],
+            Inst::Halt => {}
+            Inst::Nop | Inst::Cr => out.push((fall, g)),
             Inst::DoSetup => {
                 g.pop();
                 g.pop();
                 g.r += 2;
-                let pt = self.points.entry(ip).or_insert_with(Point::new);
-                pt.rpeak = pt.rpeak.max(g.r as i64);
-                vec![(fall, g)]
+                self.note_rpeak(ip, g.r);
+                out.push((fall, g));
             }
             Inst::QDoSetup(t) => {
                 let start = g.pop();
                 let limit = g.pop();
-                let mut enter = g.clone();
+                let mut enter = g;
                 enter.r += 2;
-                let pt = self.points.entry(ip).or_insert_with(Point::new);
-                pt.rpeak = pt.rpeak.max(enter.r as i64);
+                self.note_rpeak(ip, enter.r);
                 match (limit, start) {
-                    (AVal::Const(l), AVal::Const(s)) if l == s => vec![(t as usize, g)],
-                    (AVal::Const(l), AVal::Const(s)) if l != s => vec![(fall, enter)],
-                    _ => vec![(t as usize, g), (fall, enter)],
+                    (AVal::Const(l), AVal::Const(s)) if l == s => out.push((t as usize, g)),
+                    (AVal::Const(l), AVal::Const(s)) if l != s => out.push((fall, enter)),
+                    _ => {
+                        out.push((t as usize, g));
+                        out.push((fall, enter));
+                    }
                 }
             }
             Inst::LoopInc(t) => {
                 if g.r < 2 {
                     return Err("loop bookkeeping reaches below the word frame".into());
                 }
-                let mut exit = g.clone();
+                let mut exit = g;
                 exit.r -= 2;
-                vec![(t as usize, g), (fall, exit)]
+                out.push((t as usize, g));
+                out.push((fall, exit));
             }
             Inst::PlusLoopInc(t) => {
                 g.pop();
                 if g.r < 2 {
                     return Err("loop bookkeeping reaches below the word frame".into());
                 }
-                let mut exit = g.clone();
+                let mut exit = g;
                 exit.r -= 2;
-                vec![(t as usize, g), (fall, exit)]
+                out.push((t as usize, g));
+                out.push((fall, exit));
             }
             Inst::LoopI => {
                 if g.r < 1 {
                     return Err("reads a loop index below the word frame".into());
                 }
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::LoopJ => {
                 if g.r < 4 {
                     return Err("reads an outer loop index below the word frame".into());
                 }
                 g.push(AVal::Any);
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Unloop => {
                 if g.r < 2 {
                     return Err("unloops below the word frame".into());
                 }
                 g.r -= 2;
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Emit | Inst::Dot => {
                 g.pop();
-                vec![(fall, g)]
+                out.push((fall, g));
             }
             Inst::Type => {
                 g.pop();
                 g.pop();
-                vec![(fall, g)]
+                out.push((fall, g));
             }
-            Inst::Cr => vec![(fall, g)],
-        };
+        }
         // Cover successor depths in this point's peaks (call sites already
         // added callee growth above).
-        let pt = self.points.entry(ip).or_insert_with(Point::new);
-        for (_, s) in &out {
+        let pt = &mut self.t.points[ip];
+        for (_, s) in out.iter() {
             pt.peak = pt.peak.max(s.dhi);
             pt.rpeak = pt.rpeak.max(s.r as i64);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Join `f` into the frame set at `ip`; returns whether it changed.
     fn join(&mut self, ip: usize, from: usize, mut f: Frame) -> bool {
-        f.canon();
-        let visits = *self.visits.get(&ip).unwrap_or(&0);
+        f.tops.trim_bottom();
+        let t = &mut *self.t;
+        let visits = t.visits[ip];
         if visits > self.budget.strip_after {
             f.tops.clear();
         }
         let widen = visits > self.budget.widen_after;
-        let set = self.frames.entry(ip).or_default();
+        let set = &mut t.frames[ip];
+        if set.is_empty() {
+            t.touched.push(ip);
+        }
         let mut changed = false;
         let mut saturated = false;
         if let Some(g) = set.iter_mut().find(|g| g.r == f.r && g.tops == f.tops) {
@@ -944,24 +1072,24 @@ impl<'a> WordCtx<'a> {
                 g.dhi = if widen { INF } else { f.dhi };
                 changed = true;
             }
-        } else if visits >= self.budget.value_join_after && set.iter().any(|g| g.r == f.r) {
+        } else if let Some(g) = set
+            .iter_mut()
+            .find(|g| g.r == f.r)
+            .filter(|_| visits >= self.budget.value_join_after)
+        {
             // Loop-head value join: revisits are accumulating, so instead
             // of growing the frame set merge element-wise (aligned at the
             // top of stack) into a frame of equal return-stack shape, and
             // widen interval endpoints that keep growing.
-            let g = set.iter_mut().find(|g| g.r == f.r).unwrap();
-            let n = g.tops.len().min(f.tops.len());
-            let mut tops: Vec<AVal> = Vec::with_capacity(n);
+            let (gt, ft) = (g.tops.as_slice(), f.tops.as_slice());
+            let n = gt.len().min(ft.len());
+            let mut tops = Tops::EMPTY;
             for k in 0..n {
-                let ga = g.tops[g.tops.len() - n + k];
-                let fa = f.tops[f.tops.len() - n + k];
-                let (j, sat) = join_aval(ga, fa, widen);
+                let (j, sat) = join_aval(gt[gt.len() - n + k], ft[ft.len() - n + k], widen);
                 saturated |= sat;
                 tops.push(j);
             }
-            while tops.first() == Some(&AVal::Any) {
-                tops.remove(0);
-            }
+            tops.trim_bottom();
             if g.tops != tops {
                 g.tops = tops;
                 changed = true;
@@ -975,52 +1103,63 @@ impl<'a> WordCtx<'a> {
                 changed = true;
             }
         } else if set.len() >= self.budget.max_frames {
-            // Collapse: abandon constant tracking, merge per r-frame.
-            let mut merged: Vec<Frame> = Vec::new();
-            f.tops.clear();
-            for mut g in set.drain(..).chain(std::iter::once(f)) {
+            // Collapse: abandon constant tracking, merge per r-frame, in
+            // order of first occurrence.
+            set.push(f);
+            let mut kept = 0;
+            for k in 0..set.len() {
+                let mut g = set[k];
                 g.tops.clear();
-                if let Some(m) = merged.iter_mut().find(|m| m.r == g.r) {
+                if let Some(m) = set[..kept].iter_mut().find(|m| m.r == g.r) {
                     m.dlo = m.dlo.min(g.dlo);
                     m.dhi = m.dhi.max(g.dhi);
                 } else {
-                    merged.push(g);
+                    set[kept] = g;
+                    kept += 1;
                 }
             }
-            *set = merged;
+            set.truncate(kept);
             changed = true;
         } else {
             set.push(f);
             changed = true;
         }
         if saturated {
-            self.widened.insert(ip);
+            t.widened[ip] = true;
         }
         if changed {
-            *self.visits.entry(ip).or_insert(0) += 1;
-            self.preds.entry(ip).or_insert(from);
-            if let Some(frames) = self.frames.get(&ip) {
-                let pt = self.points.entry(ip).or_insert_with(Point::new);
-                for g in frames {
-                    pt.dlo = pt.dlo.min(g.dlo);
-                    pt.dhi = pt.dhi.max(g.dhi);
-                }
+            t.visits[ip] += 1;
+            if t.preds[ip] == NO_PRED {
+                t.preds[ip] = from;
+            }
+            let pt = &mut t.points[ip];
+            for g in &t.frames[ip] {
+                pt.dlo = pt.dlo.min(g.dlo);
+                pt.dhi = pt.dhi.max(g.dhi);
             }
         }
         changed
     }
 
     fn run(&mut self) -> Result<(), (usize, String)> {
-        let entry_frame = Frame::entry();
-        self.join(self.entry, self.entry, entry_frame);
-        let mut worklist: Vec<usize> = vec![self.entry];
-        while let Some(ip) = worklist.pop() {
-            let frames = self.frames.get(&ip).cloned().unwrap_or_default();
-            for f in &frames {
-                let succs = self.step(ip, f).map_err(|e| (ip, e))?;
-                for (sip, sf) in succs {
-                    if self.join(sip, ip, sf) && !worklist.contains(&sip) {
-                        worklist.push(sip);
+        self.join(self.entry, self.entry, Frame::ENTRY);
+        self.t.worklist.push(self.entry);
+        self.t.on_list[self.entry] = true;
+        let mut succs = Vec::with_capacity(4);
+        while let Some(ip) = self.t.worklist.pop() {
+            self.t.on_list[ip] = false;
+            // Step the frames as they are now: joins below may add to them.
+            let t = &mut *self.t;
+            t.cur.clear();
+            t.cur.extend_from_slice(&t.frames[ip]);
+            for k in 0..self.t.cur.len() {
+                let f = self.t.cur[k];
+                succs.clear();
+                self.step(ip, &f, &mut succs).map_err(|e| (ip, e))?;
+                for &(sip, sf) in &succs {
+                    if self.join(sip, ip, sf) && !self.t.on_list[sip] {
+                        self.t.on_list[sip] = true;
+                        self.t.worklist.push(sip);
                     }
                 }
             }
@@ -1028,9 +1167,39 @@ impl<'a> WordCtx<'a> {
         Ok(())
     }
 
+    /// The word's result with `summary` and `lints`: the reached points'
+    /// facts and the resolved frozen cells are copied out of the tables.
+    fn result(&mut self, summary: Summary, lints: Vec<(LintKind, usize, Cell)>) -> WordResult {
+        let t = &mut *self.t;
+        t.deps.sort_unstable();
+        t.deps.dedup();
+        WordResult {
+            summary,
+            preds: t
+                .touched
+                .iter()
+                .filter(|&&ip| t.preds[ip] != NO_PRED)
+                .map(|&ip| (ip, t.preds[ip]))
+                .collect(),
+            needs: t
+                .touched
+                .iter()
+                .map(|&ip| (ip, t.points[ip].need))
+                .collect(),
+            deps: t.deps.clone(),
+            lints,
+        }
+    }
+
+    /// The word's result after [`WordCtx::run`] stopped at `(ip, reason)`.
+    fn poisoned(mut self, ip: usize, reason: String) -> WordResult {
+        self.t.touched.sort_unstable();
+        self.result(Summary::poisoned(ip, reason), Vec::new())
+    }
+
     fn finalize(mut self) -> WordResult {
         // Record the entry point even for empty words.
-        let pt = self.points.entry(self.entry).or_insert_with(Point::new);
+        let pt = &mut self.t.points[self.entry];
         pt.dlo = pt.dlo.min(0);
         pt.dhi = pt.dhi.max(0);
         pt.peak = pt.peak.max(0);
@@ -1038,7 +1207,7 @@ impl<'a> WordCtx<'a> {
         let mut exact = true;
         let mut net_lo = INF;
         let mut net_hi = NEG_INF;
-        for &(lo, hi, top) in &self.variants {
+        for &(lo, hi, top) in &self.t.variants {
             net_lo = net_lo.min(lo);
             net_hi = net_hi.max(hi);
             if lo == hi {
@@ -1052,25 +1221,16 @@ impl<'a> WordCtx<'a> {
         if !exact || variants.len() > MAX_VARIANTS {
             variants.clear();
         }
-        let has_return = !self.variants.is_empty();
+        let has_return = !self.t.variants.is_empty();
         if !has_return {
             net_lo = 0;
             net_hi = 0;
         }
-        let grow = self
-            .points
-            .values()
-            .map(|p| p.peak)
-            .max()
-            .unwrap_or(0)
-            .max(0);
-        let r_grow = self
-            .points
-            .values()
-            .map(|p| p.rpeak)
-            .max()
-            .unwrap_or(0)
-            .max(0);
+        self.t.touched.sort_unstable();
+        let t = &*self.t;
+        let reached = || t.touched.iter().map(|&ip| &t.points[ip]);
+        let grow = reached().map(|p| p.peak).max().unwrap_or(0).max(0);
+        let r_grow = reached().map(|p| p.rpeak).max().unwrap_or(0).max(0);
         let summary = Summary {
             variants,
             net_lo,
@@ -1084,49 +1244,53 @@ impl<'a> WordCtx<'a> {
             r_grow,
             unknown: None,
         };
-        let mut lints: Vec<(LintKind, usize, String)> = Vec::new();
-        for (&ip, &state) in &self.branch_folds {
-            match (state, self.p.insts().get(ip)) {
-                (Some(true), Some(Inst::BranchIfZero(_))) => lints.push((
-                    LintKind::DeadArm,
-                    ip,
-                    format!(
-                        "condition is always zero: the fall-through arm at {} is unreachable",
-                        ip + 1
-                    ),
-                )),
-                (Some(false), Some(&Inst::BranchIfZero(t))) => lints.push((
-                    LintKind::NonzeroBranchFold,
-                    ip,
-                    format!("condition proven nonzero: the branch to {t} is never taken"),
-                )),
+        // Branch folds, then constant folds, then widenings, each in
+        // ascending ip order.
+        let mut lints: Vec<(LintKind, usize, Cell)> = Vec::new();
+        for &ip in &t.touched {
+            match t.branch_folds[ip] {
+                Some(Some(true)) => lints.push((LintKind::DeadArm, ip, 0)),
+                Some(Some(false)) => lints.push((LintKind::NonzeroBranchFold, ip, 0)),
                 _ => {}
             }
         }
-        for (&ip, &v) in &self.const_folds {
-            if let Some(v) = v {
-                lints.push((
-                    LintKind::ConstFoldable,
-                    ip,
-                    format!("constant-foldable: always evaluates to {v}"),
-                ));
+        for &ip in &t.touched {
+            if let Some(Some(v)) = t.const_folds[ip] {
+                lints.push((LintKind::ConstFoldable, ip, v));
             }
         }
-        for &ip in &self.widened {
-            lints.push((
-                LintKind::WideningLoopHead,
-                ip,
-                "value interval widened at loop head".to_string(),
-            ));
+        for &ip in &t.touched {
+            if t.widened[ip] {
+                lints.push((LintKind::WideningLoopHead, ip, 0));
+            }
         }
-        WordResult {
-            summary,
-            points: self.points,
-            preds: self.preds,
-            deps: self.deps,
-            pending: self.pending,
-            lints,
-        }
+        self.result(summary, lints)
+    }
+}
+
+/// Fold `v` into a per-point consistency slot: the first note sets it, a
+/// differing later one degrades it to `Some(None)`.
+fn note_consistent<T: PartialEq>(slot: &mut Option<Option<T>>, v: Option<T>) {
+    match slot {
+        Some(prev) if *prev != v => *prev = None,
+        Some(_) => {}
+        None => *slot = Some(v),
+    }
+}
+
+/// The reason text of a value-range lint recorded by [`WordCtx::finalize`].
+fn lint_reason(p: &Program, kind: LintKind, ip: usize, v: Cell) -> String {
+    match (kind, p.insts().get(ip)) {
+        (LintKind::DeadArm, _) => format!(
+            "condition is always zero: the fall-through arm at {} is unreachable",
+            ip + 1
+        ),
+        (LintKind::NonzeroBranchFold, Some(inst)) => format!(
+            "condition proven nonzero: the branch to {} is never taken",
+            inst.target().unwrap_or_default()
+        ),
+        (LintKind::ConstFoldable, _) => format!("constant-foldable: always evaluates to {v}"),
+        _ => "value interval widened at loop head".to_string(),
     }
 }
 
@@ -1168,8 +1332,7 @@ fn join_aval(a: AVal, b: AVal, widen: bool) -> (AVal, bool) {
 fn apply_call_effect(g: &mut Frame, consumes: i64, net_lo: i64, net_hi: i64, top: AVal) {
     let c = consumes.clamp(0, INF);
     let drop_n = (g.tops.len() as i64).min(c).max(0) as usize;
-    let keep = g.tops.len() - drop_n;
-    g.tops.truncate(keep);
+    g.tops.truncate(g.tops.len() - drop_n);
     g.dlo = sadd(g.dlo, net_lo);
     g.dhi = sadd(g.dhi, net_hi);
     if net_lo == net_hi {
@@ -1179,9 +1342,6 @@ fn apply_call_effect(g: &mut Frame, consumes: i64, net_lo: i64, net_hi: i64, top
                 g.tops.push(AVal::Any);
             }
             g.tops.push(top);
-            while g.tops.len() > TOPS_WINDOW {
-                g.tops.remove(0);
-            }
         }
     } else {
         g.tops.clear();
@@ -1365,17 +1525,44 @@ pub struct Analysis {
     pub words: Vec<WordReport>,
 }
 
+/// Witness paths over the kept per-word predecessors. The pairs of the
+/// word last asked about are spread into a dense vector, so a path walks
+/// it by index; diagnostics come grouped by word.
+struct Witnesses<'a> {
+    results: &'a BTreeMap<usize, WordResult>,
+    /// [`NO_PRED`] everywhere but the loaded word's points.
+    dense: &'a mut [usize],
+    loaded: Option<usize>,
+}
+
+impl Witnesses<'_> {
+    fn path(&mut self, word: usize, ip: usize) -> Vec<usize> {
+        if self.loaded != Some(word) {
+            if let Some(old) = self.loaded.take() {
+                for &(at, _) in &self.results[&old].preds {
+                    self.dense[at] = NO_PRED;
+                }
+            }
+            let Some(r) = self.results.get(&word) else {
+                return Vec::new();
+            };
+            for &(at, from) in &r.preds {
+                self.dense[at] = from;
+            }
+            self.loaded = Some(word);
+        }
+        witness_path(self.dense, word, ip)
+    }
+}
+
 fn diagnostic_at(
     p: &Program,
-    results: &BTreeMap<usize, WordResult>,
+    witnesses: &mut Witnesses,
     word: usize,
     ip: usize,
     reason: String,
 ) -> Diagnostic {
-    let witness = results
-        .get(&word)
-        .map(|r| witness_path(&r.preds, word, ip))
-        .unwrap_or_default();
+    let witness = witnesses.path(word, ip);
     Diagnostic {
         ip,
         word,
@@ -1389,13 +1576,18 @@ fn diagnostic_at(
     }
 }
 
-fn witness_path(preds: &BTreeMap<usize, usize>, entry: usize, ip: usize) -> Vec<usize> {
+/// The path from `entry` to `ip` along first predecessors. Each point's
+/// first predecessor was reached before it, so the chain cannot cycle;
+/// the step bound only guards that.
+fn witness_path(preds: &[usize], entry: usize, ip: usize) -> Vec<usize> {
     let mut path = vec![ip];
     let mut cur = ip;
-    let mut seen = BTreeSet::new();
-    while cur != entry && seen.insert(cur) {
-        match preds.get(&cur) {
-            Some(&prev) if prev != cur => {
+    for _ in 0..preds.len() {
+        if cur == entry {
+            break;
+        }
+        match preds.get(cur).copied() {
+            Some(prev) if prev != cur && prev != NO_PRED => {
                 path.push(prev);
                 cur = prev;
             }
@@ -1437,50 +1629,30 @@ pub fn analyze_with(
     words.insert(program.entry());
     let mut summaries: BTreeMap<usize, Summary> = BTreeMap::new();
     let mut results: BTreeMap<usize, WordResult> = BTreeMap::new();
+    let mut tables = Tables::new(program.len());
     let mut converged = false;
     for round in 0..budget.max_rounds {
         let mut changed = false;
         for &w in &words.clone() {
+            tables.reset();
             let mut ctx = WordCtx {
                 p: program,
                 entry: w,
+                budget,
                 summaries: &summaries,
                 frozen: &frozen,
                 mem: initial,
-                budget,
-                frames: BTreeMap::new(),
-                visits: BTreeMap::new(),
-                points: BTreeMap::new(),
-                preds: BTreeMap::new(),
-                variants: Vec::new(),
+                t: &mut tables,
                 consumes: 0,
                 consumes_at: None,
                 dd: NEG_INF,
                 dd_at: None,
-                deps: BTreeSet::new(),
-                pending: BTreeSet::new(),
-                branch_folds: BTreeMap::new(),
-                const_folds: BTreeMap::new(),
-                widened: BTreeSet::new(),
             };
             let res = match ctx.run() {
                 Ok(()) => ctx.finalize(),
-                Err((ip, reason)) => {
-                    let points = std::mem::take(&mut ctx.points);
-                    let preds = std::mem::take(&mut ctx.preds);
-                    let deps = std::mem::take(&mut ctx.deps);
-                    let pending = std::mem::take(&mut ctx.pending);
-                    WordResult {
-                        summary: Summary::poisoned(ip, reason),
-                        points,
-                        preds,
-                        deps,
-                        pending,
-                        lints: Vec::new(),
-                    }
-                }
+                Err((ip, reason)) => ctx.poisoned(ip, reason),
             };
-            for &t in &res.pending {
+            for &t in &tables.pending {
                 if words.insert(t) {
                     if let Some(s) = depth_info.effect_of(t).and_then(Summary::provisional) {
                         summaries.insert(t, s);
@@ -1533,11 +1705,19 @@ pub fn analyze_with(
         .cloned()
         .unwrap_or_else(|| Summary::poisoned(entry, "entry word was never analyzed".to_string()));
 
+    tables.reset();
+    let mut witnesses = Witnesses {
+        results: &results,
+        dense: &mut tables.preds,
+        loaded: None,
+    };
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
-    let mut frozen_deps: BTreeSet<(Cell, Cell)> = BTreeSet::new();
-    for res in results.values() {
-        frozen_deps.extend(res.deps.iter().copied());
-    }
+    let mut frozen_deps: Vec<(Cell, Cell)> = results
+        .values()
+        .flat_map(|r| r.deps.iter().copied())
+        .collect();
+    frozen_deps.sort_unstable();
+    frozen_deps.dedup();
 
     let mut verdict;
     let data_needed;
@@ -1550,7 +1730,7 @@ pub fn analyze_with(
         rstack_max = Bound::Unbounded;
         diagnostics.push(diagnostic_at(
             program,
-            &results,
+            &mut witnesses,
             entry,
             entry,
             "the depth fixpoint did not converge".to_string(),
@@ -1560,7 +1740,7 @@ pub fn analyze_with(
         data_needed = INF;
         data_max = Bound::Unbounded;
         rstack_max = Bound::Unbounded;
-        diagnostics.push(diagnostic_at(program, &results, entry, ip, reason));
+        diagnostics.push(diagnostic_at(program, &mut witnesses, entry, ip, reason));
         // Surface the root causes from poisoned callees too.
         for (&w, res) in &results {
             if w == entry {
@@ -1568,7 +1748,7 @@ pub fn analyze_with(
             }
             if let Some((ip, reason)) = res.summary.unknown.clone() {
                 if !reason.starts_with("calls word @") {
-                    diagnostics.push(diagnostic_at(program, &results, w, ip, reason));
+                    diagnostics.push(diagnostic_at(program, &mut witnesses, w, ip, reason));
                 }
             }
         }
@@ -1580,11 +1760,14 @@ pub fn analyze_with(
         let (w, ip) = entry_summary.dd_at.unwrap_or((entry, entry));
         let need = results
             .get(&w)
-            .and_then(|r| r.points.get(&ip))
-            .map_or(0, |p| p.need);
+            .and_then(|r| {
+                let k = r.needs.binary_search_by_key(&ip, |n| n.0).ok()?;
+                Some(r.needs[k].1)
+            })
+            .unwrap_or(0);
         diagnostics.push(diagnostic_at(
             program,
-            &results,
+            &mut witnesses,
             w,
             ip,
             format!(
@@ -1602,7 +1785,7 @@ pub fn analyze_with(
         let (w, ip) = entry_summary.consumes_at.unwrap_or((entry, entry));
         diagnostics.push(diagnostic_at(
             program,
-            &results,
+            &mut witnesses,
             w,
             ip,
             format!(
@@ -1618,7 +1801,7 @@ pub fn analyze_with(
         let (w, ip) = entry_summary.consumes_at.unwrap_or((entry, entry));
         diagnostics.push(diagnostic_at(
             program,
-            &results,
+            &mut witnesses,
             w,
             ip,
             "cannot prove a finite depth demand at this instruction".to_string(),
@@ -1632,7 +1815,7 @@ pub fn analyze_with(
         rstack_max = bound(entry_summary.r_grow);
         diagnostics.push(diagnostic_at(
             program,
-            &results,
+            &mut witnesses,
             entry,
             entry,
             "the entry word can return into a host-owned return stack".to_string(),
@@ -1651,10 +1834,16 @@ pub fn analyze_with(
     // strengthen a depth proof into a termination proof with the fuel pass.
     let mut lints: Vec<Lint> = Vec::new();
     for (&w, res) in &results {
-        for (kind, ip, reason) in &res.lints {
+        for &(kind, ip, v) in &res.lints {
             lints.push(Lint {
-                kind: *kind,
-                diag: diagnostic_at(program, &results, w, *ip, reason.clone()),
+                kind,
+                diag: diagnostic_at(
+                    program,
+                    &mut witnesses,
+                    w,
+                    ip,
+                    lint_reason(program, kind, ip, v),
+                ),
             });
         }
     }
@@ -1665,7 +1854,7 @@ pub fn analyze_with(
                     kind: LintKind::UnboundedRecursion,
                     diag: diagnostic_at(
                         program,
-                        &results,
+                        &mut witnesses,
                         w,
                         w,
                         "return-stack growth is unbounded: possible unbounded recursion"
@@ -1685,7 +1874,7 @@ pub fn analyze_with(
                     kind: LintKind::FuelBound,
                     diag: diagnostic_at(
                         program,
-                        &results,
+                        &mut witnesses,
                         entry,
                         entry,
                         format!("terminates within {n} instruction dispatch(es) from entry"),
@@ -1725,7 +1914,7 @@ pub fn analyze_with(
             data_needed,
             data_max,
             rstack_max,
-            frozen_deps: frozen_deps.into_iter().collect(),
+            frozen_deps,
             diagnostics,
             words_analyzed: words.len(),
             fuel_bound,

@@ -330,6 +330,31 @@ mod tests {
         ));
     }
 
+    /// A `drop` below the empty stack that the static compiler turned
+    /// into a state change, then a block end: the reconciliation finds
+    /// nothing above the stack's bottom to load and traps as the
+    /// reference does, at every canonical depth.
+    #[test]
+    fn static_underflow_before_a_block_end_traps() {
+        let p = program_of(&[Inst::Drop, Inst::Branch(2)]);
+        let mut m_ref = Machine::with_memory(64);
+        assert_eq!(
+            exec::run(&p, &mut m_ref, 1000).unwrap_err(),
+            VmError::StackUnderflow { ip: 0 }
+        );
+        for c in 0..=3u8 {
+            let exe = compile_static(&p, c);
+            let mut m = Machine::with_memory(64);
+            assert!(
+                matches!(
+                    run_staticcache(&exe, &mut m, 1000),
+                    Err(VmError::StackUnderflow { .. })
+                ),
+                "static c={c}"
+            );
+        }
+    }
+
     #[test]
     fn traps_match_reference() {
         for p in [

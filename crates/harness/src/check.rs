@@ -370,12 +370,23 @@ pub fn reference_flight_trail(program: &Program, fuel: u64) -> String {
 pub fn assert_agreement(program: &Program, fuel: u64) -> Agreement {
     match cross_validate(program, fuel) {
         Ok(a) => a,
-        Err(mut d) => {
-            d.flight = Some(reference_flight_trail(program, fuel));
+        Err(d) => {
             let saved = crate::corpus::save_failure(program)
                 .map(|p| format!("\nfailing program saved to {}", p.display()))
                 .unwrap_or_default();
-            panic!("{d}{saved}\nprogram:\n{}", asm::disassemble(program));
+            panic_with_report(program, fuel, d, &saved)
         }
     }
+}
+
+/// Panic with `d`, a flight trail of the reference execution, `note` and
+/// the program's disassembly.
+pub(crate) fn panic_with_report(
+    program: &Program,
+    fuel: u64,
+    mut d: Box<Divergence>,
+    note: &str,
+) -> ! {
+    d.flight = Some(reference_flight_trail(program, fuel));
+    panic!("{d}{note}\nprogram:\n{}", asm::disassemble(program));
 }

@@ -11,6 +11,8 @@ use std::path::{Path, PathBuf};
 
 use stackcache_vm::{asm, Program};
 
+use crate::check::Divergence;
+
 /// The workspace-level corpus directory (`tests/corpus/`).
 #[must_use]
 pub fn corpus_dir() -> PathBuf {
@@ -71,13 +73,29 @@ pub fn load_dir(dir: &Path) -> Vec<(String, Program)> {
 ///
 /// # Panics
 ///
-/// Panics with a first-divergence report if any corpus program diverges.
+/// As [`replay_with`].
 pub fn replay_all(fuel: u64) -> usize {
+    replay_with(fuel, |p| crate::check::cross_validate(p, fuel).map(drop))
+}
+
+/// Replay every corpus program, the trapping ones included, through
+/// `check`; returns how many programs were replayed.
+///
+/// A diverging entry is already in the corpus, so nothing is saved: the
+/// report names the entry instead.
+///
+/// # Panics
+///
+/// Panics with the entry's file name and a first-divergence report if
+/// `check` finds a divergence.
+pub fn replay_with(fuel: u64, check: impl Fn(&Program) -> Result<(), Box<Divergence>>) -> usize {
     let mut programs = load_all();
     programs.extend(load_dir(&traps_dir()));
     for (name, p) in &programs {
         eprintln!("corpus: replaying {name}");
-        crate::check::assert_agreement(p, fuel);
+        if let Err(d) = check(p) {
+            crate::check::panic_with_report(p, fuel, d, &format!("\ncorpus entry {name} diverges"));
+        }
     }
     programs.len()
 }

@@ -214,6 +214,47 @@ fn overflowing_division_completes_and_the_worker_survives() {
 }
 
 #[test]
+fn static_reconciliation_underflow_traps_and_the_worker_survives() {
+    // `w` drops one cell per call and recurses: the analysis cannot bound
+    // its demand, so the request runs with every check, and the static
+    // engine's reconciliation before the second recursive call finds
+    // nothing to load. A panicking engine would take the only worker down.
+    let mut b = ProgramBuilder::new();
+    let w = b.new_label();
+    b.push(Inst::Lit(1));
+    b.call(w);
+    b.push(Inst::Halt);
+    b.bind(w).unwrap();
+    b.push(Inst::Drop);
+    b.call(w);
+    b.push(Inst::Return);
+    let p = Arc::new(b.finish().unwrap());
+    let svc = Service::start(config(1, 64));
+    for regime in EngineRegime::ALL {
+        let t = svc
+            .submit(Request::new(Arc::clone(&p), regime))
+            .expect("admitted");
+        match wait_for(&t, Duration::from_secs(10)) {
+            Some(Reply::Completed(c)) => assert_eq!(
+                c.outcome.trap,
+                Some(stackcache_harness::Trap::StackUnderflow),
+                "{}",
+                regime.name()
+            ),
+            other => panic!("{}: expected a trapped run, got {other:?}", regime.name()),
+        }
+    }
+    let t = svc
+        .submit(Request::new(square(3), EngineRegime::Baseline))
+        .expect("admitted");
+    match wait_for(&t, Duration::from_secs(10)) {
+        Some(Reply::Completed(c)) => assert_eq!(c.outcome.output, b"9 "),
+        other => panic!("the next request must complete, got {other:?}"),
+    }
+    svc.shutdown();
+}
+
+#[test]
 fn full_queue_rejects_at_admission_and_accepted_jobs_still_answer() {
     // one worker pinned on slow jobs, capacity 2: submissions must start
     // bouncing with QueueFull, and every accepted ticket still resolves

@@ -157,8 +157,9 @@ fn dyncache_loop<const MODE: u8>(
 /// Data-stack underflow traps are not reproduced in general: a short
 /// stack reads the sentinel cells as zeros, and an underflowing `drop` or
 /// `swap` may have been compiled away. `/` and `mod` do check the depth
-/// above the sentinels before testing the divisor, and a program whose
-/// stack ends below the sentinels traps at `halt`.
+/// above the sentinels before testing the divisor, a reconciliation that
+/// finds nothing left to load traps, and a program whose stack ends below
+/// the sentinels traps at `halt`.
 ///
 /// # Errors
 ///
@@ -376,6 +377,7 @@ impl<'a, const MODE: u8> Regs<'a, MODE> {
     /// Reconcile from state `from` to state `to` (what the static compiler
     /// embeds at block ends and around calls): spill the extra bottom
     /// items to memory or load the missing ones from it, then rename.
+    /// Loading from an empty memory stack traps `StackUnderflow`.
     #[inline(always)]
     fn reconcile(&mut self, from: u8, to: u8, cur: usize) -> Result<(), Fault> {
         self.s = from;
@@ -391,6 +393,11 @@ impl<'a, const MODE: u8> Regs<'a, MODE> {
             self.s -= 1;
         }
         while usize::from(self.s) < tw.len() {
+            // compiled-away pops that underflowed took the sentinel cells
+            // too: there is nothing left to load
+            if self.sp == 0 {
+                return Err(Fault::underflow(cur));
+            }
             self.sp -= 1;
             (self.r0, self.r1, self.r2) = (self.buf[self.sp], self.r0, self.r1);
             self.s += 1;

@@ -15,7 +15,7 @@
 //! `Inconsistent`, which usually indicates a stack bug in the source
 //! program.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::inst::{EffectKind, Inst};
 use crate::program::Program;
@@ -91,19 +91,25 @@ pub fn analyze(program: &Program) -> DepthAnalysis {
     entries.sort_unstable();
     entries.dedup();
 
-    let mut effects: HashMap<usize, WordEffect> =
-        entries.iter().map(|&e| (e, WordEffect::Unknown)).collect();
+    // effect per word, dense by entry ip (only entries are ever read)
+    let mut effects: Vec<WordEffect> =
+        vec![WordEffect::Unknown; entries.last().map_or(0, |&e| e + 1)];
+    let mut depth_at: Vec<Option<i32>> = vec![None; insts.len()];
+    let mut visited: Vec<usize> = Vec::new();
 
     // fixpoint: effects only move Unknown -> Net/Inconsistent
     for _ in 0..=entries.len() {
         let mut changed = false;
         for &entry in &entries {
-            if !matches!(effects[&entry], WordEffect::Unknown) {
+            if !matches!(effects[entry], WordEffect::Unknown) {
                 continue;
             }
-            let resolved = analyze_word(insts, entry, &effects);
+            let resolved = analyze_word(insts, entry, &effects, &mut depth_at, &mut visited);
+            for ip in visited.drain(..) {
+                depth_at[ip] = None;
+            }
             if !matches!(resolved, WordEffect::Unknown) {
-                effects.insert(entry, resolved);
+                effects[entry] = resolved;
                 changed = true;
             }
         }
@@ -113,14 +119,21 @@ pub fn analyze(program: &Program) -> DepthAnalysis {
     }
 
     DepthAnalysis {
-        words: effects.into_iter().collect(),
+        words: entries.iter().map(|&e| (e, effects[e])).collect(),
     }
 }
 
-/// Walk one word with a depth-propagating worklist.
-fn analyze_word(insts: &[Inst], entry: usize, effects: &HashMap<usize, WordEffect>) -> WordEffect {
-    // relative depth at each visited instruction
-    let mut depth_at: HashMap<usize, i32> = HashMap::new();
+/// Walk one word with a depth-propagating worklist, recording the
+/// relative depth at each visited instruction in `depth_at` (all `None`
+/// on entry) and the instruction in `visited`, so the caller can reset
+/// just those cells.
+fn analyze_word(
+    insts: &[Inst],
+    entry: usize,
+    effects: &[WordEffect],
+    depth_at: &mut [Option<i32>],
+    visited: &mut Vec<usize>,
+) -> WordEffect {
     let mut work: Vec<(usize, i32)> = vec![(entry, 0)];
     let mut returns: Vec<i32> = Vec::new();
     let mut min_depth: i32 = 0;
@@ -130,11 +143,12 @@ fn analyze_word(insts: &[Inst], entry: usize, effects: &HashMap<usize, WordEffec
             if ip >= insts.len() {
                 return WordEffect::Inconsistent; // ran off the end
             }
-            match depth_at.get(&ip) {
-                Some(&d) if d == depth => break, // already visited, consistent
+            match depth_at[ip] {
+                Some(d) if d == depth => break, // already visited, consistent
                 Some(_) => return WordEffect::Inconsistent,
                 None => {
-                    depth_at.insert(ip, depth);
+                    depth_at[ip] = Some(depth);
+                    visited.push(ip);
                 }
             }
             let inst = insts[ip];
@@ -142,7 +156,7 @@ fn analyze_word(insts: &[Inst], entry: usize, effects: &HashMap<usize, WordEffec
                 Inst::Execute => return WordEffect::Unknown,
                 Inst::Call(t) => {
                     match effects
-                        .get(&(t as usize))
+                        .get(t as usize)
                         .copied()
                         .unwrap_or(WordEffect::Unknown)
                     {
@@ -394,6 +408,47 @@ mod tests {
         let p = b.finish().unwrap();
         let a = analyze(&p);
         assert_eq!(a.effect_of(entry), Some(WordEffect::Unknown));
+    }
+
+    #[test]
+    fn long_call_chains_cost_what_their_words_visit() {
+        // w_k: call w_{k+1}; return -- one word resolves per pass, the
+        // last first. The unreachable padding makes the program long: a
+        // pass that reset one cell per instruction for every word it
+        // walked would take minutes here.
+        const WORDS: usize = 500;
+        const PADDING: usize = 1_000_000;
+        let mut b = ProgramBuilder::new();
+        let words: Vec<_> = (0..WORDS).map(|_| b.new_label()).collect();
+        b.entry_here();
+        b.call(words[0]);
+        b.push(Inst::Halt);
+        for _ in 0..PADDING {
+            b.push(Inst::Nop);
+        }
+        for (k, &w) in words.iter().enumerate() {
+            b.bind(w).unwrap();
+            if let Some(&next) = words.get(k + 1) {
+                b.call(next);
+            }
+            b.push(Inst::Return);
+        }
+        let p = b.finish().unwrap();
+        let start = std::time::Instant::now();
+        let a = analyze(&p);
+        let took = start.elapsed();
+        assert!(a.is_consistent());
+        assert_eq!(
+            a.effect_of(p.entry()),
+            Some(WordEffect::Net {
+                net: 0,
+                consumes: 0
+            })
+        );
+        assert!(
+            took < std::time::Duration::from_secs(10),
+            "depth pass over a {WORDS}-word chain took {took:?}"
+        );
     }
 
     #[test]
