@@ -1048,6 +1048,17 @@ impl<'a> WordCtx<'a> {
         Ok(())
     }
 
+    /// Whether `f` would bring a return-stack depth deeper than every
+    /// frame of a full frame set at `ip`. Return-stack depths are exact
+    /// and never widened (a collapse keeps one frame per depth), so a
+    /// loop that pushes the return stack on every pass would add a frame
+    /// per pass for ever; such a word is given up on instead (it and its
+    /// callers keep every check).
+    fn r_diverges(&self, ip: usize, f: &Frame) -> bool {
+        let set = &self.t.frames[ip];
+        set.len() >= self.budget.max_frames && set.iter().all(|g| g.r < f.r)
+    }
+
     /// Join `f` into the frame set at `ip`; returns whether it changed.
     fn join(&mut self, ip: usize, from: usize, mut f: Frame) -> bool {
         f.tops.trim_bottom();
@@ -1157,6 +1168,9 @@ impl<'a> WordCtx<'a> {
                 succs.clear();
                 self.step(ip, &f, &mut succs).map_err(|e| (ip, e))?;
                 for &(sip, sf) in &succs {
+                    if self.r_diverges(sip, &sf) {
+                        return Err((ip, "the return stack grows on every pass of a loop".into()));
+                    }
                     if self.join(sip, ip, sf) && !self.t.on_list[sip] {
                         self.t.on_list[sip] = true;
                         self.t.worklist.push(sip);

@@ -175,7 +175,7 @@ fn mutate(p: &Program, pool: &[Inst], rng: &mut Rng) -> Option<Program> {
 
 const PINNED: [&str; 6] = [
     "workloads: n=4 quick=[0, 3, 1, 0, 0] deep=[0, 3, 1, 0, 0] hash=36cc0777a6127bde",
-    "files: n=7 quick=[4, 0, 0, 0, 3] deep=[4, 0, 0, 0, 3] hash=d33b30eb54aae4b3",
+    "files: n=8 quick=[5, 0, 0, 0, 3] deep=[5, 0, 0, 0, 3] hash=210b3e36a5def5c1",
     "structured: n=120 quick=[120, 0, 0, 0, 0] deep=[120, 0, 0, 0, 0] hash=621deafc743d22bb",
     "memory: n=120 quick=[120, 0, 0, 0, 0] deep=[120, 0, 0, 0, 0] hash=60b8bd686c417a45",
     "calls: n=120 quick=[120, 0, 0, 0, 0] deep=[120, 0, 0, 0, 0] hash=d6676e64c0bd7cdd",

@@ -31,6 +31,18 @@ fn main() {
     let lp = program_of(&[LoopInc(0)]);
     let b = block_bytes(&lp, 0, 1, CacheState::canonical(0), Checks::Full);
     println!("loopinc s0 len={} {}", b.len(), hex(&b));
+    // the output and indirect-call templates at every entry state
+    for (name, insts) in [
+        ("dot", vec![Dot, Halt]),
+        ("type", vec![Type, Halt]),
+        ("execute", vec![Execute]),
+    ] {
+        let p = program_of(&insts);
+        for n in 0..=3 {
+            let b = block_bytes(&p, 0, insts.len(), CacheState::canonical(n), Checks::Full);
+            println!("{name} s{n} len={} {}", b.len(), hex(&b));
+        }
+    }
     // checks-level comparison for the same block
     for c in [Checks::Full, Checks::NoUnderflow, Checks::None] {
         let b = block_bytes(&add, 0, 3, CacheState::empty(), c);

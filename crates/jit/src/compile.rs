@@ -48,6 +48,8 @@ use crate::asm::{Asm, Cc, Label, Mem, Reg};
 use crate::mem::{ExecBuf, MapError};
 use crate::state::CacheState;
 use stackcache_vm::{Checks, Inst, Program};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 // `JitCtx` field offsets; pinned by a layout test in `run.rs`.
 pub(crate) const OFF_STACK_PTR: i32 = 0;
@@ -92,6 +94,22 @@ pub struct BlockEntry {
     pub offset: usize,
 }
 
+/// One deoptimization site of a [`JitProgram`]: the instruction whose
+/// guard sent native code back to the interpreter, and how often.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeoptSite {
+    /// Instruction index the interpreter resumed at.
+    pub ip: usize,
+    /// The instruction at `ip`.
+    pub inst: Inst,
+    /// Deoptimizations recorded at `ip`.
+    pub count: u64,
+}
+
+/// Distinct sites a [`JitProgram`] keeps; further sites only count
+/// toward [`JitProgram::deopts`].
+pub const DEOPT_SITES: usize = 32;
+
 /// A whole program compiled to native blocks at one [`Checks`] level.
 #[derive(Debug)]
 pub struct JitProgram {
@@ -99,6 +117,10 @@ pub struct JitProgram {
     /// Sorted by `start`; blocks tile the program.
     blocks: Vec<BlockEntry>,
     checks: Checks,
+    /// Per-site deopt profile, at most [`DEOPT_SITES`] entries.
+    sites: Mutex<Vec<DeoptSite>>,
+    /// Every deopt of this program, profiled or not.
+    deopts: AtomicU64,
 }
 
 impl JitProgram {
@@ -155,6 +177,8 @@ impl JitProgram {
             buf,
             blocks,
             checks,
+            sites: Mutex::new(Vec::new()),
+            deopts: AtomicU64::new(0),
         })
     }
 
@@ -162,6 +186,30 @@ impl JitProgram {
     #[must_use]
     pub fn checks(&self) -> Checks {
         self.checks
+    }
+
+    /// Count one deoptimization at `ip` (holding `inst`).
+    pub(crate) fn record_deopt(&self, ip: usize, inst: Inst) {
+        self.deopts.fetch_add(1, Ordering::Relaxed);
+        let mut sites = self.sites.lock().expect("deopt profile poisoned");
+        if let Some(site) = sites.iter_mut().find(|s| s.ip == ip) {
+            site.count += 1;
+        } else if sites.len() < DEOPT_SITES {
+            sites.push(DeoptSite { ip, inst, count: 1 });
+        }
+    }
+
+    /// Deoptimizations of this program since it was compiled.
+    #[must_use]
+    pub fn deopts(&self) -> u64 {
+        self.deopts.load(Ordering::Relaxed)
+    }
+
+    /// The first [`DEOPT_SITES`] distinct deopt sites, in the order
+    /// they first fired.
+    #[must_use]
+    pub fn deopt_sites(&self) -> Vec<DeoptSite> {
+        self.sites.lock().expect("deopt profile poisoned").clone()
     }
 
     /// Look up the block whose leader is exactly `ip`.
@@ -247,8 +295,6 @@ struct BlockCompiler<'a> {
     epilogue: Label,
     stubs: Vec<Stub>,
     insts_len: usize,
-    /// One past this block's last instruction — the refund base.
-    end: usize,
     /// Chain labels for every block leader in the same buffer.
     targets: &'a ChainMap,
     /// `(buffer base, chain table)` labels for indirect `return`
@@ -276,7 +322,6 @@ fn compile_block(
         epilogue,
         stubs: Vec::new(),
         insts_len: program.len(),
-        end,
         targets,
         ret_table,
     };
@@ -412,18 +457,23 @@ impl BlockCompiler<'_> {
         }
     }
 
-    /// Exit the block into the interpreter at `ip` (unsupported opcode),
-    /// refunding the block tail from `ip` on — those instructions were
-    /// charged by the fuel gate but never ran.
-    #[allow(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
-    fn exit_fallback(&mut self, ip: usize) {
-        let refund = (self.end - ip) as i32;
-        if refund > 0 {
-            self.asm.sub_ri(EXEC, refund);
+    /// Exit the block to the instruction index in `rax` (`<= len`, so
+    /// `rax` is already the packed jump word: `KIND_JUMP` is 0). Chain
+    /// through the in-buffer offset table when the target is a leader;
+    /// a zero entry means "exit to the driver".
+    fn exit_indirect(&mut self) {
+        if let Some((base, table)) = self.ret_table {
+            self.asm.lea_rip(Reg::Rcx, table);
+            self.asm
+                .mov_r32m(Reg::Rdx, Mem::base_index4(Reg::Rcx, Reg::Rax, 0));
+            self.asm.test_rr(Reg::Rdx, Reg::Rdx);
+            self.asm.jcc(Cc::E, self.epilogue);
+            self.asm.lea_rip(Reg::R11, base);
+            self.asm.add_rr(Reg::R11, Reg::Rdx);
+            self.asm.jmp_r(Reg::R11);
+        } else {
+            self.asm.jmp(self.epilogue);
         }
-        self.asm
-            .mov_ri(Reg::Rax, ((KIND_FALLBACK << 32) | ip as u64) as i64);
-        self.asm.jmp(self.epilogue);
     }
 
     /// Bring one more cell from memory into the bottom of the cache.
@@ -518,6 +568,18 @@ impl BlockCompiler<'_> {
         // …so addr < len here and addr+8 cannot wrap.
         self.asm.lea(Reg::Rax, Mem::base(addr, 8));
         self.asm.cmp_rr(Reg::Rax, MLEN);
+        self.asm.jcc(Cc::A, stub);
+    }
+
+    /// Guard: the output buffer lacks room. Loads the output length into
+    /// `rax`, evaluates `end` (an address expression over `rax`: the
+    /// length after the write) into `r11`, and exits to `stub` when it
+    /// exceeds the capacity — only Rust can grow the buffer. `rax`
+    /// still holds the length afterwards.
+    fn guard_out_room(&mut self, end: Mem, stub: Label) {
+        self.asm.mov_rm(Reg::Rax, Mem::base(CTX, OFF_OUT_LEN));
+        self.asm.lea(Reg::R11, end);
+        self.asm.cmp_rm(Reg::R11, Mem::base(CTX, OFF_OUT_CAP));
         self.asm.jcc(Cc::A, stub);
     }
 
@@ -964,11 +1026,91 @@ impl BlockCompiler<'_> {
                 self.asm.mov_mr(Mem::base(CTX, OFF_OUT_LEN), Reg::Rax);
             }
 
-            // Decimal formatting and byte-range walks stay in Rust.
-            Inst::Dot | Inst::Type | Inst::Execute => {
-                self.flush();
-                self.exit_fallback(ip);
-                return true;
+            Inst::Dot => {
+                self.fill_to(1, ip);
+                let n = self.state.from_top(0);
+                // MIN has no positive twin to format from; `.` writes at
+                // most 21 bytes ('-', 19 digits, ' ') into spare capacity.
+                let stub = self.stub(ip);
+                self.asm.mov_ri(Reg::R11, i64::MIN);
+                self.asm.cmp_rr(n, Reg::R11);
+                self.asm.jcc(Cc::E, stub);
+                self.guard_out_room(Mem::base(Reg::Rax, 21), stub);
+                self.state.pop();
+                // rcx = write cursor, rax = |n|; `n`'s register counts
+                // the digits pushed (least significant first) on the
+                // native stack.
+                self.asm.mov_rm(Reg::Rcx, Mem::base(CTX, OFF_OUT_PTR));
+                self.asm.add_rr(Reg::Rcx, Reg::Rax);
+                self.asm.mov_rr(Reg::Rax, n);
+                let positive = self.asm.new_label();
+                self.asm.test_rr(Reg::Rax, Reg::Rax);
+                self.asm.jcc(Cc::Ns, positive);
+                self.asm.mov_m8i(Mem::base(Reg::Rcx, 0), b'-');
+                self.asm.add_ri(Reg::Rcx, 1);
+                self.asm.neg(Reg::Rax);
+                self.asm.bind(positive);
+                self.asm.mov_ri(Reg::R11, 10);
+                self.asm.mov_ri(n, 0);
+                let digit = self.asm.new_label();
+                self.asm.bind(digit);
+                self.asm.cqo();
+                self.asm.idiv(Reg::R11);
+                self.asm.push(Reg::Rdx);
+                self.asm.add_ri(n, 1);
+                self.asm.test_rr(Reg::Rax, Reg::Rax);
+                self.asm.jcc(Cc::Ne, digit);
+                let write = self.asm.new_label();
+                self.asm.bind(write);
+                self.asm.pop(Reg::Rax);
+                self.asm.add_ri(Reg::Rax, i32::from(b'0'));
+                self.asm.mov_m8r(Mem::base(Reg::Rcx, 0), Reg::Rax);
+                self.asm.add_ri(Reg::Rcx, 1);
+                self.asm.sub_ri(n, 1);
+                self.asm.jcc(Cc::Ne, write);
+                self.asm.mov_m8i(Mem::base(Reg::Rcx, 0), b' ');
+                self.asm.add_ri(Reg::Rcx, 1);
+                self.asm.mov_rm(Reg::Rax, Mem::base(CTX, OFF_OUT_PTR));
+                self.asm.sub_rr(Reg::Rcx, Reg::Rax);
+                self.asm.mov_mr(Mem::base(CTX, OFF_OUT_LEN), Reg::Rcx);
+            }
+            Inst::Type => {
+                self.fill_to(2, ip);
+                let len = self.state.from_top(0);
+                let addr = self.state.from_top(1);
+                // An empty range reads nothing, wherever it points.
+                let stub = self.stub(ip);
+                let done = self.asm.new_label();
+                self.asm.test_rr(len, len);
+                self.asm.jcc(Cc::S, stub);
+                self.asm.jcc(Cc::E, done);
+                // [addr, addr+len) inside memory: addr <=u len(mem)
+                // (negatives fail) and len <= len(mem) - addr.
+                self.asm.cmp_rr(addr, MLEN);
+                self.asm.jcc(Cc::A, stub);
+                self.asm.mov_rr(Reg::R11, MLEN);
+                self.asm.sub_rr(Reg::R11, addr);
+                self.asm.cmp_rr(len, Reg::R11);
+                self.asm.jcc(Cc::A, stub);
+                self.guard_out_room(Mem::base_index1(Reg::Rax, len, 0), stub);
+                // Commit: publish the new length, then copy byte by byte
+                // from `mem + addr` to `out + old length`.
+                self.asm.mov_rm(Reg::Rcx, Mem::base(CTX, OFF_OUT_PTR));
+                self.asm.add_rr(Reg::Rcx, Reg::Rax);
+                self.asm.add_rr(Reg::Rax, len);
+                self.asm.mov_mr(Mem::base(CTX, OFF_OUT_LEN), Reg::Rax);
+                let copy = self.asm.new_label();
+                self.asm.bind(copy);
+                self.asm
+                    .movzx_rm8(Reg::Rdx, Mem::base_index1(MBASE, addr, 0));
+                self.asm.mov_m8r(Mem::base(Reg::Rcx, 0), Reg::Rdx);
+                self.asm.add_ri(addr, 1);
+                self.asm.add_ri(Reg::Rcx, 1);
+                self.asm.sub_ri(len, 1);
+                self.asm.jcc(Cc::Ne, copy);
+                self.asm.bind(done);
+                self.state.pop();
+                self.state.pop();
             }
 
             Inst::Nop => {}
@@ -1012,21 +1154,26 @@ impl BlockCompiler<'_> {
                 self.asm.sub_ri(RSP, 1);
                 self.flush();
                 // rax already holds (JUMP<<32)|ret (KIND_JUMP is 0 and
-                // the range guard proved ret <= len). Chain through the
-                // in-buffer offset table when the target is a leader;
-                // a zero entry means "exit to the driver".
-                if let Some((base, table)) = self.ret_table {
-                    self.asm.lea_rip(Reg::Rcx, table);
-                    self.asm
-                        .mov_r32m(Reg::Rdx, Mem::base_index4(Reg::Rcx, Reg::Rax, 0));
-                    self.asm.test_rr(Reg::Rdx, Reg::Rdx);
-                    self.asm.jcc(Cc::E, self.epilogue);
-                    self.asm.lea_rip(Reg::R11, base);
-                    self.asm.add_rr(Reg::R11, Reg::Rdx);
-                    self.asm.jmp_r(Reg::R11);
-                } else {
-                    self.asm.jmp(self.epilogue);
-                }
+                // the range guard proved ret <= len).
+                self.exit_indirect();
+                return true;
+            }
+            Inst::Execute => {
+                self.fill_to(1, ip);
+                let token = self.state.from_top(0);
+                // token <u len: negative tokens fail the unsigned compare.
+                let stub = self.stub(ip);
+                self.asm.mov_ri(Reg::R11, self.insts_len as i64);
+                self.asm.cmp_rr(token, Reg::R11);
+                self.asm.jcc(Cc::Ae, stub);
+                self.guard_roverflow(1, ip);
+                self.state.pop();
+                self.asm.mov_ri(Reg::R11, (ip + 1) as i64);
+                self.asm.mov_mr(Mem::base_index8(RBASE, RSP, 0), Reg::R11);
+                self.asm.add_ri(RSP, 1);
+                self.asm.mov_rr(Reg::Rax, token);
+                self.flush();
+                self.exit_indirect();
                 return true;
             }
             Inst::Halt => {

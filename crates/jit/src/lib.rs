@@ -39,7 +39,7 @@ pub mod run;
 pub mod state;
 
 pub use cache::{invalidate, stats, JitStats};
-pub use compile::{block_bytes, BlockEntry, JitProgram};
+pub use compile::{block_bytes, BlockEntry, DeoptSite, JitProgram, DEOPT_SITES};
 pub use mem::{force_unavailable, ExecBuf, MapError};
 pub use run::{run_compiled, run_jit, run_jit_with_checks};
 pub use state::{CacheState, CACHE_REGS, MAX_CACHED};

@@ -24,6 +24,10 @@ use stackcache_vm::stacks::FlatStacks;
 use stackcache_vm::stepper::{run_span, SpanExit};
 use stackcache_vm::{Checks, Machine, Program, VmError};
 
+/// Spare output bytes guaranteed before each native entry: room for a
+/// few `.`s, whose guard asks for 21 bytes (its longest output).
+const OUTPUT_SLACK: usize = 64;
+
 /// The native code's view of the machine, passed in `rdi`.
 ///
 /// Field order and layout are load-bearing: the template compiler bakes
@@ -108,6 +112,10 @@ pub fn run_compiled(
         #[cfg(all(target_arch = "x86_64", unix))]
         if affordable {
             let b = block.expect("affordable implies block");
+            // Native code cannot grow the buffer, and `.` asks for its
+            // longest output: hand it spare room, so only a long native
+            // stretch of output deopts to grow. One compare when there is.
+            machine.reserve_output(OUTPUT_SLACK);
             let (out_ptr, out_len, out_cap) = machine.output_raw_parts();
             let mut ctx = JitCtx {
                 stack_ptr: st.buf.as_mut_ptr(),
@@ -128,8 +136,8 @@ pub fn run_compiled(
             let word = f(&mut ctx);
             st.sp = ctx.sp as usize;
             st.rsp = ctx.rsp as usize;
-            // SAFETY: native `emit` only appends initialized bytes below
-            // the capacity it was handed.
+            // SAFETY: native `emit`, `cr`, `.` and `type` only append
+            // initialized bytes below the capacity they were handed.
             unsafe { machine.set_output_len(ctx.out_len as usize) };
             // Blocks chain natively (static branch targets jump block to
             // block without returning), so the exit may come from any
@@ -144,6 +152,7 @@ pub fn run_compiled(
                 KIND_JUMP => ip = exit_ip,
                 KIND_FALLBACK => {
                     stats_counter(Stat::Deopts).fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                    jp.record_deopt(exit_ip, program.insts()[exit_ip]);
                     let stop = jp.block_end_containing(exit_ip);
                     match run_span(
                         program,

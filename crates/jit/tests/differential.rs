@@ -5,7 +5,7 @@
 //! (`tests/jit_campaign.rs`, under the full harness); these tests are
 //! the fast, named, first-line-of-defence suite.
 
-use stackcache_jit::run_jit_with_checks;
+use stackcache_jit::{run_compiled, run_jit_with_checks, DeoptSite, JitProgram};
 use stackcache_vm::interp::run_baseline_with_checks;
 use stackcache_vm::{program_of, Checks, Inst, Machine, Program, ProgramBuilder};
 
@@ -14,12 +14,17 @@ const MEM: usize = 256;
 /// Run `p` under both engines from identical machines and assert every
 /// observable agrees: result/error, stacks, output, memory, fuel.
 fn check(p: &Program, fuel: u64, checks: Checks, setup: &[i64]) {
-    let mut m_ref = Machine::with_memory(MEM);
-    let mut m_jit = Machine::with_memory(MEM);
+    let mut proto = Machine::with_memory(MEM);
     for &x in setup {
-        m_ref.push(x);
-        m_jit.push(x);
+        proto.push(x);
     }
+    check_from(p, fuel, checks, &proto);
+}
+
+/// [`check`] from clones of `proto`.
+fn check_from(p: &Program, fuel: u64, checks: Checks, proto: &Machine) {
+    let mut m_ref = proto.clone();
+    let mut m_jit = proto.clone();
     let r_ref = run_baseline_with_checks(p, &mut m_ref, fuel, checks);
     let r_jit = run_jit_with_checks(p, &mut m_jit, fuel, checks);
     match (&r_ref, &r_jit) {
@@ -557,4 +562,168 @@ fn degraded_mode_is_behaviorally_identical() {
         after > before,
         "degraded runs must count jit_fallbacks_total"
     );
+}
+
+/// The deopt sites of one run of `p` from `proto` on a private
+/// compilation (the global block cache is shared with other tests).
+fn deopt_sites(p: &Program, checks: Checks, proto: &Machine) -> Vec<DeoptSite> {
+    let Ok(jp) = JitProgram::compile(p, checks) else {
+        return Vec::new(); // no native backend: nothing to profile
+    };
+    let mut m = proto.clone();
+    let _ = run_compiled(&jp, p, &mut m, 1_000_000, checks);
+    jp.deopt_sites()
+}
+
+const CHECKS: [Checks; 3] = [Checks::Full, Checks::NoUnderflow, Checks::None];
+
+/// Each `.` runs natively from an empty output buffer: the driver's
+/// spare output room covers the template's 21-byte guard, so not even
+/// the first `.` deopts to grow the buffer.
+#[test]
+fn dot_formats_every_magnitude_natively() {
+    use Inst::*;
+    let mut values = vec![0, 1, -1, i64::MAX, i64::MIN + 1];
+    for k in 1..=18 {
+        values.push(10i64.pow(k));
+        values.push(-(10i64.pow(k)));
+        values.push(10i64.pow(k) - 1);
+    }
+    let proto = Machine::with_memory(MEM);
+    for n in values {
+        let p = halted(vec![Lit(n), Dot]);
+        check_full(&p, &[]);
+        assert_eq!(deopt_sites(&p, Checks::Full, &proto), [], "`.` of {n}");
+    }
+    // Several numbers with a live cache below them.
+    check_full(
+        &halted(vec![Lit(7), Lit(-42), Lit(1 << 40), Dot, Dot, Dot, Lit(3)]),
+        &[],
+    );
+}
+
+#[test]
+fn dot_of_min_deoptimizes() {
+    use Inst::*;
+    let p = halted(vec![Lit(5), Lit(i64::MIN), Dot, Dot]);
+    check_full(&p, &[]);
+    if stackcache_jit::available() {
+        assert_eq!(
+            deopt_sites(&p, Checks::Full, &Machine::with_memory(MEM)),
+            [DeoptSite {
+                ip: 2,
+                inst: Dot,
+                count: 1
+            }]
+        );
+    }
+}
+
+#[test]
+fn type_ranges_and_traps() {
+    use Inst::*;
+    let proto = {
+        let mut m = Machine::with_memory(MEM);
+        for (i, b) in b"stack caching".iter().enumerate() {
+            assert!(m.store_byte(i as i64, i64::from(*b)));
+        }
+        m.store_byte(MEM as i64 - 1, i64::from(b'!'));
+        m
+    };
+    let end = MEM as i64;
+    for checks in CHECKS {
+        // empty ranges anywhere: nothing read, no trap, no deopt
+        for addr in [-5, 0, end, end + 7, 1 << 40, i64::MIN] {
+            let p = halted(vec![Lit(addr), Lit(0), Type]);
+            check_from(&p, 1_000, checks, &proto);
+            assert_eq!(deopt_sites(&p, checks, &proto), [], "empty type at {addr}");
+        }
+        for (addr, len) in [
+            (0, 13),      // whole string
+            (6, 7),       // a suffix
+            (end - 1, 1), // the last byte
+            (0, end),     // all of memory
+            (0, -3),      // negative length
+            (-1, 2),      // starts below memory
+            (end, 1),     // starts at the end
+            (end + 7, 1), // starts past the end
+            (1 << 40, 1),
+            (i64::MAX, 2),
+            (end - 3, 10), // crosses the end: partial output, then the trap
+            (end - 1, i64::MAX),
+            (5, i64::MAX),
+        ] {
+            check_from(
+                &halted(vec![Lit(addr), Lit(len), Type]),
+                1_000,
+                checks,
+                &proto,
+            );
+        }
+    }
+}
+
+#[test]
+fn output_grows_from_a_zero_capacity_buffer() {
+    use Inst::*;
+    // 400 numbers and strings from a do-loop in one chained native
+    // stretch: the buffer starts empty and must grow on the way.
+    let mut b = ProgramBuilder::new();
+    b.entry_here();
+    b.push(Lit(400));
+    b.push(Lit(0));
+    b.push(DoSetup);
+    let top = b.new_label();
+    b.bind(top).unwrap();
+    b.push(LoopI);
+    b.push(Lit(1_000_003));
+    b.push(Mul);
+    b.push(Dot);
+    b.push(Lit(0));
+    b.push(Lit(5));
+    b.push(Type);
+    b.loop_inc(top);
+    b.push(Halt);
+    let p = b.finish().unwrap();
+    let mut proto = Machine::with_memory(MEM);
+    for i in 0..5 {
+        proto.store_byte(i, i64::from(b'a') + i);
+    }
+    assert_eq!(proto.output().len(), 0);
+    for checks in CHECKS {
+        check_from(&p, 1_000_000, checks, &proto);
+    }
+}
+
+#[test]
+fn execute_targets_tokens_and_return_room() {
+    use Inst::*;
+    // 0: lit 5; 1: lit 5; 2: execute; 3: halt; 4: lit 1; 5: lit 2;
+    // 6: add; 7: exit -- token 5 lands mid-block (the block starts at 4).
+    let mid = program_of(&[Lit(5), Lit(5), Execute, Halt, Lit(1), Lit(2), Add, Return]);
+    // token 4 is a leader
+    let leader = program_of(&[Lit(9), Lit(4), Execute, Halt, Lit(1), Add, Return]);
+    for checks in CHECKS {
+        for p in [&mid, &leader] {
+            check(p, 1_000, checks, &[]);
+        }
+        for token in [-1, 7, 1 << 40, i64::MIN] {
+            let p = program_of(&[Lit(token), Execute, Halt]);
+            check(&p, 1_000, checks, &[]);
+        }
+        // token == len
+        check(&program_of(&[Lit(3), Execute, Halt]), 1_000, checks, &[]);
+    }
+    // A full return stack: the push of the return address traps. (At
+    // Checks::None overflow is excluded by the admission proof.)
+    for checks in [Checks::Full, Checks::NoUnderflow] {
+        for limit in [0, 1, 2] {
+            let mut proto = Machine::with_memory(MEM);
+            proto.set_rstack_limit(limit);
+            check_from(&mid, 1_000, checks, &proto);
+            // self-execution: overflows after `limit` frames
+            let p = program_of(&[Lit(0), Execute]);
+            check_from(&p, 1_000, checks, &proto);
+        }
+    }
 }

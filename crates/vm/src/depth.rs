@@ -79,6 +79,28 @@ fn inst_net(inst: &Inst) -> Option<i32> {
 /// following call edges; `execute` and `?dup` make a word `Unknown`.
 #[must_use]
 pub fn analyze(program: &Program) -> DepthAnalysis {
+    analyze_counted(program).0
+}
+
+/// Where a word stands in [`analyze_counted`]'s callee-first search.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Unvisited,
+    /// On the search stack: waiting for a callee to settle.
+    Waiting,
+    Settled,
+}
+
+/// [`analyze`], also returning how many word walks it took.
+///
+/// Words settle callee first: a walk that meets an unvisited callee
+/// stops, and that callee is walked before the caller is walked again.
+/// A callee still waiting is on a call cycle with the caller, and a
+/// cycle never resolves, so it reads as `Unknown`. Each word is walked
+/// once plus once per callee it waited on — linear in the call graph,
+/// where re-walking every unresolved word until nothing changes would
+/// be quadratic in a call chain's length.
+fn analyze_counted(program: &Program) -> (DepthAnalysis, usize) {
     let insts = program.insts();
     let mut entries: Vec<usize> = insts
         .iter()
@@ -91,36 +113,54 @@ pub fn analyze(program: &Program) -> DepthAnalysis {
     entries.sort_unstable();
     entries.dedup();
 
-    // effect per word, dense by entry ip (only entries are ever read)
-    let mut effects: Vec<WordEffect> =
-        vec![WordEffect::Unknown; entries.last().map_or(0, |&e| e + 1)];
+    // effect and status per word, dense by entry ip (only entries are
+    // ever read)
+    let words = entries.last().map_or(0, |&e| e + 1);
+    let mut effects: Vec<WordEffect> = vec![WordEffect::Unknown; words];
+    let mut status = vec![Status::Unvisited; words];
     let mut depth_at: Vec<Option<i32>> = vec![None; insts.len()];
     let mut visited: Vec<usize> = Vec::new();
+    let mut stack: Vec<usize> = Vec::new();
+    let mut walks = 0;
 
-    // fixpoint: effects only move Unknown -> Net/Inconsistent
-    for _ in 0..=entries.len() {
-        let mut changed = false;
-        for &entry in &entries {
-            if !matches!(effects[entry], WordEffect::Unknown) {
-                continue;
-            }
-            let resolved = analyze_word(insts, entry, &effects, &mut depth_at, &mut visited);
+    for &root in &entries {
+        if status[root] != Status::Unvisited {
+            continue;
+        }
+        status[root] = Status::Waiting;
+        stack.push(root);
+        while let Some(&word) = stack.last() {
+            walks += 1;
+            let walk = analyze_word(insts, word, &effects, &status, &mut depth_at, &mut visited);
             for ip in visited.drain(..) {
                 depth_at[ip] = None;
             }
-            if !matches!(resolved, WordEffect::Unknown) {
-                effects[entry] = resolved;
-                changed = true;
+            match walk {
+                Walk::Blocked(callee) => {
+                    status[callee] = Status::Waiting;
+                    stack.push(callee);
+                }
+                Walk::Done(effect) => {
+                    effects[word] = effect;
+                    status[word] = Status::Settled;
+                    stack.pop();
+                }
             }
-        }
-        if !changed {
-            break;
         }
     }
 
-    DepthAnalysis {
+    let analysis = DepthAnalysis {
         words: entries.iter().map(|&e| (e, effects[e])).collect(),
-    }
+    };
+    (analysis, walks)
+}
+
+/// The outcome of one word walk.
+enum Walk {
+    /// The word's effect, final.
+    Done(WordEffect),
+    /// The walk met this callee before it was visited.
+    Blocked(usize),
 }
 
 /// Walk one word with a depth-propagating worklist, recording the
@@ -131,9 +171,10 @@ fn analyze_word(
     insts: &[Inst],
     entry: usize,
     effects: &[WordEffect],
+    status: &[Status],
     depth_at: &mut [Option<i32>],
     visited: &mut Vec<usize>,
-) -> WordEffect {
+) -> Walk {
     let mut work: Vec<(usize, i32)> = vec![(entry, 0)];
     let mut returns: Vec<i32> = Vec::new();
     let mut min_depth: i32 = 0;
@@ -141,11 +182,11 @@ fn analyze_word(
     while let Some((mut ip, mut depth)) = work.pop() {
         loop {
             if ip >= insts.len() {
-                return WordEffect::Inconsistent; // ran off the end
+                return Walk::Done(WordEffect::Inconsistent); // ran off the end
             }
             match depth_at[ip] {
                 Some(d) if d == depth => break, // already visited, consistent
-                Some(_) => return WordEffect::Inconsistent,
+                Some(_) => return Walk::Done(WordEffect::Inconsistent),
                 None => {
                     depth_at[ip] = Some(depth);
                     visited.push(ip);
@@ -153,20 +194,19 @@ fn analyze_word(
             }
             let inst = insts[ip];
             match inst {
-                Inst::Execute => return WordEffect::Unknown,
+                Inst::Execute => return Walk::Done(WordEffect::Unknown),
                 Inst::Call(t) => {
-                    match effects
-                        .get(t as usize)
-                        .copied()
-                        .unwrap_or(WordEffect::Unknown)
-                    {
+                    let t = t as usize;
+                    if status[t] == Status::Unvisited {
+                        return Walk::Blocked(t);
+                    }
+                    match effects[t] {
                         WordEffect::Net { net, consumes } => {
                             min_depth = min_depth.min(depth - consumes as i32);
                             depth += net;
                             ip += 1;
                         }
-                        WordEffect::Unknown => return WordEffect::Unknown,
-                        WordEffect::Inconsistent => return WordEffect::Inconsistent,
+                        effect => return Walk::Done(effect),
                     }
                 }
                 Inst::Return => {
@@ -209,7 +249,7 @@ fn analyze_word(
                         depth += net;
                         ip += 1;
                     }
-                    None => return WordEffect::Unknown,
+                    None => return Walk::Done(WordEffect::Unknown),
                 },
             }
         }
@@ -217,7 +257,7 @@ fn analyze_word(
 
     returns.sort_unstable();
     returns.dedup();
-    match returns.len() {
+    Walk::Done(match returns.len() {
         0 => {
             // a word that only halts (the boot stub): treat as net 0
             WordEffect::Net {
@@ -230,7 +270,7 @@ fn analyze_word(
             consumes: min_depth.unsigned_abs(),
         },
         _ => WordEffect::Inconsistent,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -410,30 +450,34 @@ mod tests {
         assert_eq!(a.effect_of(entry), Some(WordEffect::Unknown));
     }
 
-    #[test]
-    fn long_call_chains_cost_what_their_words_visit() {
-        // w_k: call w_{k+1}; return -- one word resolves per pass, the
-        // last first. The unreachable padding makes the program long: a
-        // pass that reset one cell per instruction for every word it
-        // walked would take minutes here.
-        const WORDS: usize = 500;
-        const PADDING: usize = 1_000_000;
+    /// `w_k: call w_{k+1}; return` for `words` words, called from a boot
+    /// stub, with `padding` unreachable instructions after the stub.
+    fn call_chain(words: usize, padding: usize) -> Program {
         let mut b = ProgramBuilder::new();
-        let words: Vec<_> = (0..WORDS).map(|_| b.new_label()).collect();
+        let labels: Vec<_> = (0..words).map(|_| b.new_label()).collect();
         b.entry_here();
-        b.call(words[0]);
+        b.call(labels[0]);
         b.push(Inst::Halt);
-        for _ in 0..PADDING {
+        for _ in 0..padding {
             b.push(Inst::Nop);
         }
-        for (k, &w) in words.iter().enumerate() {
+        for (k, &w) in labels.iter().enumerate() {
             b.bind(w).unwrap();
-            if let Some(&next) = words.get(k + 1) {
+            if let Some(&next) = labels.get(k + 1) {
                 b.call(next);
             }
             b.push(Inst::Return);
         }
-        let p = b.finish().unwrap();
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn long_call_chains_cost_what_their_words_visit() {
+        // The unreachable padding makes the program long: a pass that
+        // reset one cell per instruction for every word it walked would
+        // take minutes here.
+        const WORDS: usize = 500;
+        let p = call_chain(WORDS, 1_000_000);
         let start = std::time::Instant::now();
         let a = analyze(&p);
         let took = start.elapsed();
@@ -449,6 +493,44 @@ mod tests {
             took < std::time::Duration::from_secs(10),
             "depth pass over a {WORDS}-word chain took {took:?}"
         );
+    }
+
+    #[test]
+    fn call_chains_take_walks_linear_in_their_length() {
+        // Each word waits on its callee once: two walks per word.
+        let (short, short_walks) = analyze_counted(&call_chain(4_000, 0));
+        let (long, long_walks) = analyze_counted(&call_chain(8_000, 0));
+        for a in [&short, &long] {
+            assert!(a.words.values().all(|e| *e
+                == WordEffect::Net {
+                    net: 0,
+                    consumes: 0
+                }));
+        }
+        assert!(short_walks <= 2 * 4_001 + 1, "{short_walks} walks");
+        assert!(
+            long_walks <= 2 * short_walks + 2,
+            "8,000 words took {long_walks} walks, 4,000 took {short_walks}"
+        );
+    }
+
+    #[test]
+    fn mutual_recursion_stays_unknown_and_its_callers_too() {
+        // entry: call a; halt   a: call b; return   b: call a; return
+        let mut b = ProgramBuilder::new();
+        let (wa, wb) = (b.new_label(), b.new_label());
+        b.entry_here();
+        b.call(wa);
+        b.push(Inst::Halt);
+        b.bind(wa).unwrap();
+        b.call(wb);
+        b.push(Inst::Return);
+        b.bind(wb).unwrap();
+        b.call(wa);
+        b.push(Inst::Return);
+        let p = b.finish().unwrap();
+        let a = analyze(&p);
+        assert!(a.words.values().all(|e| *e == WordEffect::Unknown));
     }
 
     #[test]

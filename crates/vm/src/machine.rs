@@ -157,14 +157,67 @@ impl Machine {
         self.out.push(b);
     }
 
-    /// Append a number in Forth `.` format (decimal followed by a space).
+    /// Append a number in Forth `.` format (decimal followed by a space),
+    /// formatted in a stack buffer: at most `-`, 19 digits and the space.
+    /// Kept out of line, like the range copy below, so the interpreters'
+    /// dispatch loops stay small.
+    #[inline(never)]
     pub fn push_output_number(&mut self, n: Cell) {
-        self.out.extend_from_slice(n.to_string().as_bytes());
-        self.out.push(b' ');
+        let mut buf = [0u8; 21];
+        let mut i = buf.len() - 1;
+        buf[i] = b' ';
+        let mut u = n.unsigned_abs();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (u % 10) as u8;
+            u /= 10;
+            if u == 0 {
+                break;
+            }
+        }
+        if n < 0 {
+            i -= 1;
+            buf[i] = b'-';
+        }
+        self.out.extend_from_slice(&buf[i..]);
+    }
+
+    /// Append the `len` memory bytes from `addr` on (the `type`
+    /// primitive) with one copy. When the range leaves memory, the bytes
+    /// before the first invalid address are appended and that address
+    /// is returned; a negative `len` appends nothing and is returned.
+    ///
+    /// # Errors
+    /// The faulting address: a negative `len`, or the first address of
+    /// the range outside memory.
+    #[inline(never)]
+    pub fn push_output_range(&mut self, addr: Cell, len: Cell) -> Result<(), Cell> {
+        if len <= 0 {
+            return if len < 0 { Err(len) } else { Ok(()) };
+        }
+        let start = usize::try_from(addr).map_err(|_| addr)?;
+        let valid = match self.mem.len().checked_sub(start) {
+            Some(valid) if valid > 0 => valid,
+            _ => return Err(addr), // starts at or past the end
+        };
+        let n = usize::try_from(len).map_or(valid, |len| len.min(valid));
+        self.out.extend_from_slice(&self.mem[start..start + n]);
+        if n as Cell == len {
+            Ok(())
+        } else {
+            Err(addr + n as Cell)
+        }
+    }
+
+    /// Make room for `additional` more output bytes, so native code
+    /// (which cannot grow the buffer) can append in place.
+    pub fn reserve_output(&mut self, additional: usize) {
+        self.out.reserve(additional);
     }
 
     /// Raw parts of the output buffer `(ptr, len, capacity)` for native
-    /// code that appends bytes in place (the template JIT's `emit`).
+    /// code that appends bytes in place (the template JIT's output
+    /// primitives).
     pub fn output_raw_parts(&mut self) -> (*mut u8, usize, usize) {
         (self.out.as_mut_ptr(), self.out.len(), self.out.capacity())
     }
@@ -342,5 +395,36 @@ mod tests {
         m.reset_from(&proto);
         assert_eq!(m.memory(), proto.memory());
         assert_eq!(m.stack(), proto.stack());
+    }
+
+    #[test]
+    fn numbers_format_like_to_string() {
+        let mut values = vec![0, 1, -1, Cell::MIN, Cell::MAX, Cell::MIN + 1];
+        for k in 1..=18 {
+            let p = 10i64.pow(k);
+            values.extend([p, -p, p - 1, 1 - p]);
+        }
+        for n in values {
+            let mut m = Machine::with_memory(0);
+            m.push_output_number(n);
+            assert_eq!(m.output(), format!("{n} ").as_bytes(), "{n}");
+        }
+    }
+
+    #[test]
+    fn output_ranges_stop_at_the_first_invalid_address() {
+        let mut m = Machine::with_memory(8);
+        m.memory_mut().copy_from_slice(b"abcdefgh");
+        assert_eq!(m.push_output_range(2, 3), Ok(()));
+        assert_eq!(m.push_output_range(-4, 0), Ok(()));
+        assert_eq!(m.push_output_range(0, -3), Err(-3));
+        assert_eq!(m.push_output_range(6, 5), Err(8));
+        assert_eq!(m.push_output_range(-1, 2), Err(-1));
+        assert_eq!(m.push_output_range(8, 1), Err(8));
+        assert_eq!(m.push_output_range(9, 1), Err(9));
+        assert_eq!(m.push_output_range(1 << 40, 1), Err(1 << 40));
+        assert_eq!(m.push_output_range(Cell::MAX, 2), Err(Cell::MAX));
+        assert_eq!(m.push_output_range(7, Cell::MAX), Err(8));
+        assert_eq!(m.output(), b"cdeghh");
     }
 }

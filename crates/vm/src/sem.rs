@@ -645,15 +645,8 @@ pub(crate) fn step<V: View>(
         }
         Inst::Type => {
             let (addr, len) = s.pop2(cur)?;
-            if len < 0 {
-                return Err(Fault::memory(cur, len));
-            }
-            for i in 0..len {
-                let a = addr.wrapping_add(i);
-                match machine.load_byte(a) {
-                    Some(byte) => machine.push_output_byte(byte as u8),
-                    None => return Err(Fault::memory(cur, a)),
-                }
+            if let Err(a) = machine.push_output_range(addr, len) {
+                return Err(Fault::memory(cur, a));
             }
         }
         Inst::Cr => machine.push_output_byte(b'\n'),
