@@ -3,59 +3,75 @@
 //! Usage:
 //!
 //! ```text
-//! figures [--full] [fig7 fig18 fig20 fig21 fig22 fig23 fig24 fig25 fig26
-//!          speedup randomwalk rstack ablation fusion jit serving analysis
-//!          network | all]
+//! figures [--full] [fig7 fig13 fig18 fig20 fig21 fig22 fig23 fig24 fig25
+//!          fig26 randomwalk rstack ablation orgs freq twostacks prefetch
+//!          semantic fusion jit analysis | all]
 //! ```
 //!
 //! By default the small workload inputs are used; `--full` switches to the
 //! full-size inputs (millions of executed instructions per workload, a few
-//! minutes in total).
+//! minutes in total). The interpreters' wall-clock times are measured by
+//! `perfbench` (`python3 perfbench/run.py --workload suite`), and the
+//! service and network tiers are exercised by the `stackcache-svc` and
+//! `stackcache-net` integration tests.
+
+use std::process::ExitCode;
 
 use stackcache_bench::{
     ablation, fig07, fig18, fig20, fig21, fig22, fig24, fig26, freq, fusion, jitbench, orgs,
-    prefetch, randomwalk, rstack, semantic, speedup, twostacks, verified,
+    prefetch, randomwalk, rstack, semantic, twostacks, verified,
 };
 use stackcache_core::CostModel;
 use stackcache_workloads::Scale;
 
-fn main() {
+/// Every section `figures` can print, in print order.
+const SECTIONS: [&str; 21] = [
+    "fig7",
+    "fig13",
+    "fig18",
+    "fig20",
+    "fig21",
+    "fig22",
+    "fig23",
+    "fig24",
+    "fig25",
+    "fig26",
+    "randomwalk",
+    "rstack",
+    "ablation",
+    "orgs",
+    "freq",
+    "twostacks",
+    "prefetch",
+    "semantic",
+    "fusion",
+    "jit",
+    "analysis",
+];
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let scale = if full { Scale::Full } else { Scale::Small };
-    let mut wanted: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = [
-            "fig7",
-            "fig13",
-            "fig18",
-            "fig20",
-            "fig21",
-            "fig22",
-            "fig23",
-            "fig24",
-            "fig25",
-            "fig26",
-            "speedup",
-            "randomwalk",
-            "rstack",
-            "ablation",
-            "orgs",
-            "freq",
-            "twostacks",
-            "prefetch",
-            "semantic",
-            "fusion",
-            "jit",
-            "serving",
-            "analysis",
-            "network",
-        ]
+    let mut wanted: Vec<&str> = args
         .iter()
-        .map(|s| (*s).to_string())
+        .map(String::as_str)
+        .filter(|a| !a.starts_with("--"))
         .collect();
+    if let Some(unknown) = wanted
+        .iter()
+        .find(|w| **w != "all" && !SECTIONS.contains(w))
+    {
+        eprintln!(
+            "figures: unknown section `{unknown}`; known: {}",
+            SECTIONS.join(" ")
+        );
+        return ExitCode::FAILURE;
     }
-    let want = |name: &str| wanted.iter().any(|w| w == name);
+    if wanted.is_empty() || wanted.contains(&"all") {
+        wanted = SECTIONS.to_vec();
+    }
+    let want = |name: &str| wanted.contains(&name);
     let scale_name = if full { "full" } else { "small" };
     println!("# Stack Caching for Interpreters — evaluation ({scale_name} inputs)\n");
 
@@ -164,11 +180,6 @@ fn main() {
             println!("{}", fig26::table(&rows));
         }
     }
-    if want("speedup") {
-        println!("## Section 6 — wall-clock interpreter comparison\n");
-        println!("{}", speedup::table(&speedup::run(scale)));
-        println!("(paper: keeping one item in a register gave +11% on prims2x, +7% on cross)\n");
-    }
     if want("randomwalk") {
         println!("## Section 6 — overflows vs. the [HS85] random-walk model");
         println!("   (10-register cache; overflow counts per followup state)\n");
@@ -230,61 +241,5 @@ fn main() {
         println!("{}", jitbench::table(&rows));
         println!("{}\n", jitbench::summary_line(&rows));
     }
-    if want("serving") {
-        use stackcache_bench::svcload::{run_load, LoadConfig};
-        println!("## Serving — per-regime throughput/latency under service load\n");
-        let report = run_load(&LoadConfig {
-            scale,
-            mini_programs: 6,
-            mini_repeats: 10,
-            workload_repeats: 1,
-            deadline_probes: 8,
-            fuel_probes: 8,
-            ..LoadConfig::default()
-        });
-        println!("{}", report.table());
-        println!(
-            "{} requests in {:.2}s ({:.0} verified completions/s); {} divergences",
-            report.requests,
-            report.elapsed.as_secs_f64(),
-            report.throughput(),
-            report.divergences.len()
-        );
-        println!("{}\n", report.fast_path_line());
-
-        use stackcache_bench::traceload::latency_breakdown;
-        println!("### Latency breakdown per regime (tail-sampled trace trees)\n");
-        let probes = if full { 8 } else { 4 };
-        let breakdown = latency_breakdown(probes, 1_000_000);
-        println!("{}", breakdown.table());
-        println!(
-            "{} trees sampled, {} unmatched, {} divergences; wire = root span \
-             minus node-side stage spans\n",
-            breakdown.trees,
-            breakdown.unmatched,
-            breakdown.divergences.len()
-        );
-    }
-    if want("network") {
-        use stackcache_bench::netload::{run_netload, NetLoadConfig};
-        println!("## Network front end — unary vs pipelined vs batched over loopback\n");
-        let report = run_netload(&NetLoadConfig {
-            connections: 2,
-            window: 8,
-            unary_per_conn: 60,
-            pipelined_per_conn: 240,
-            batches_per_conn: 8,
-            batch_size: 8,
-            programs: 4,
-            deadline_probes: 8,
-            ..NetLoadConfig::default()
-        });
-        println!("{}", report.table());
-        println!(
-            "{} requests over the wire; {} deadline probes rejected; {} divergences\n",
-            report.net.submits + report.net.batch_items,
-            report.deadline_rejections,
-            report.divergences.len()
-        );
-    }
+    ExitCode::SUCCESS
 }

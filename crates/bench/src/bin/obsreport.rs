@@ -1,31 +1,18 @@
-//! One-stop observability report: flight-recorder dump, cache-state
-//! profiles, and the metrics exposition pages.
+//! Cache-state profiles of the benchmark workloads.
 //!
-//! Usage: `obsreport [--full] [flight profile expo | all]`
+//! Usage: `obsreport [--full]`
 //!
-//! Three sections:
-//!
-//! - **flight** — drives a short traced load through the execution
-//!   service (including deadline/fuel rejection probes) and prints the
-//!   flight recorder's tail, the incident reports the probes file, and
-//!   the per-regime serving table.
-//! - **profile** — replays every benchmark workload under the
-//!   cache-state profiler for a few Fig. 18 organizations and prints the
-//!   paper-style per-state tables with the hottest transitions and
-//!   (state, opcode) pairs.
-//! - **expo** — prints the service's Prometheus text-format page and
-//!   JSON document from the traced load, lint-checking the former.
-//!
+//! Replays every benchmark workload under the cache-state profiler for a
+//! few Fig. 18 organizations and prints the paper-style per-state tables
+//! with the hottest transitions and (state, opcode) pairs, then the
+//! static dispatch-elimination profile of each static-codegen variant.
 //! `--full` profiles the full-size workload inputs instead of the small
-//! ones (the traced load always uses the small inputs).
+//! ones.
 
-use std::process::ExitCode;
-
-use stackcache_bench::svcload::{run_load, LoadConfig, LoadReport};
 use stackcache_bench::workloads;
 use stackcache_core::staticcache::{compile, StaticOptions};
 use stackcache_core::Org;
-use stackcache_obs::{prometheus_lint, CacheProfiler, StaticProfiler};
+use stackcache_obs::{CacheProfiler, StaticProfiler};
 use stackcache_vm::exec;
 use stackcache_workloads::Scale;
 
@@ -50,45 +37,6 @@ fn static_variants() -> Vec<(String, StaticOptions)> {
         ("optimal(c=2)".to_string(), optimal),
         ("threaded(c=2)".to_string(), threaded),
     ]
-}
-
-/// A short traced service load: small but still enough to exercise the
-/// cache, the rejection probes, and every regime.
-fn traced_load() -> LoadReport {
-    run_load(&LoadConfig {
-        mini_programs: 6,
-        mini_repeats: 10,
-        workload_repeats: 1,
-        deadline_probes: 8,
-        fuel_probes: 8,
-        trace: true,
-        ..LoadConfig::default()
-    })
-}
-
-fn flight_section(report: &LoadReport) {
-    println!("## Flight recorder — traced service load\n");
-    println!("{}", report.table());
-    println!(
-        "{} requests, {} verified completions, {} deadline + {} fuel rejections\n",
-        report.requests, report.verified, report.deadline_rejections, report.fuel_rejections,
-    );
-    match &report.flight_tail {
-        Some(tail) => {
-            println!(
-                "last events across all rings ({} captured):",
-                report.flight_events
-            );
-            print!("{tail}");
-        }
-        None => println!("(no flight dump captured)"),
-    }
-    println!("\nincident reports ({}):", report.incidents.len());
-    for (i, incident) in report.incidents.iter().enumerate() {
-        println!("--- incident {} ---", i + 1);
-        print!("{incident}");
-    }
-    println!();
 }
 
 fn profile_section(scale: Scale) {
@@ -124,57 +72,8 @@ fn profile_section(scale: Scale) {
     }
 }
 
-fn expo_section(report: &LoadReport) -> Result<(), String> {
-    println!("## Metrics exposition\n");
-    let page = report
-        .prometheus
-        .as_ref()
-        .ok_or_else(|| "no prometheus page captured".to_string())?;
-    prometheus_lint(page).map_err(|e| format!("prometheus page fails lint: {e}"))?;
-    println!("### Prometheus text format (lint-clean)\n");
-    print!("{page}");
-    if let Some(json) = &report.json {
-        println!("\n### JSON document\n");
-        println!("{json}");
-    }
-    Ok(())
-}
-
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let full = args.iter().any(|a| a == "--full");
-    let scale = if full { Scale::Full } else { Scale::Small };
-    let mut wanted: Vec<String> = args.into_iter().filter(|a| !a.starts_with("--")).collect();
-    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
-        wanted = ["flight", "profile", "expo"]
-            .iter()
-            .map(|s| (*s).to_string())
-            .collect();
-    }
-    let want = |name: &str| wanted.iter().any(|w| w == name);
+fn main() {
+    let full = std::env::args().any(|a| a == "--full");
     println!("# Observability report\n");
-
-    let report = (want("flight") || want("expo")).then(traced_load);
-    if let Some(report) = &report {
-        if !report.clean() {
-            eprintln!("traced load diverged:");
-            for d in report.divergences.iter().take(20) {
-                eprintln!("  {d}");
-            }
-            return ExitCode::FAILURE;
-        }
-    }
-    if want("flight") {
-        flight_section(report.as_ref().unwrap());
-    }
-    if want("profile") {
-        profile_section(scale);
-    }
-    if want("expo") {
-        if let Err(e) = expo_section(report.as_ref().unwrap()) {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    ExitCode::SUCCESS
+    profile_section(if full { Scale::Full } else { Scale::Small });
 }

@@ -9,7 +9,6 @@
 #![warn(clippy::all)]
 
 pub mod ablation;
-pub mod clusterload;
 pub mod fig07;
 pub mod fig18;
 pub mod fig20;
@@ -20,17 +19,13 @@ pub mod fig26;
 pub mod freq;
 pub mod fusion;
 pub mod jitbench;
-pub mod netload;
 pub mod orgs;
 pub mod prefetch;
 pub mod randomwalk;
 pub mod rstack;
 pub mod semantic;
-pub mod speedup;
-pub mod svcload;
 pub mod table;
 pub mod timing;
-pub mod traceload;
 pub mod twostacks;
 pub mod verified;
 

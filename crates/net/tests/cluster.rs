@@ -2,20 +2,28 @@
 //! router in front of two real `NetServer` nodes. Every reply that
 //! comes back through the proxy is verified against the reference
 //! interpreter; routing locality (all regimes of one program on one
-//! node) and cross-node coalescing economics are asserted from the
-//! nodes' own metrics.
+//! node), the router's forwarding accounting and cross-node coalescing
+//! economics are asserted from the nodes' own metrics, and a flood of
+//! more than a thousand held connections must stay under the router's
+//! budget while a healthy client is still served.
 
 mod util;
 
+use std::io::{BufReader, Write as _};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
 use stackcache_core::EngineRegime;
 use stackcache_net::{
-    Client, NetConfig, NetProxy, NetServer, ProxyConfig, ReplyStatus, WireRequest,
+    read_frame, Client, Frame, NetConfig, NetProxy, NetServer, ProxyConfig, ProxySnapshot,
+    ReplyStatus, WireRequest, DEFAULT_MAX_FRAME,
 };
 use stackcache_svc::{Service, ServiceConfig};
-use util::{quick_program, reference_outcome, slow_program};
+use util::{
+    check, generated_cases, nth_request, on_connections, pipeline, quick_program,
+    reference_outcome, slow_program,
+};
 
 /// A two-node cluster plus router, all in-process over loopback.
 fn start_cluster(coalesce: bool) -> (Vec<NetServer>, NetProxy) {
@@ -41,6 +49,23 @@ fn start_cluster(coalesce: bool) -> (Vec<NetServer>, NetProxy) {
     })
     .expect("start proxy");
     (nodes, proxy)
+}
+
+/// Everything the router claims to have forwarded reached a node.
+fn assert_nodes_saw_every_forward(nodes: &[NetServer], snap: &ProxySnapshot) {
+    let seen: u64 = nodes
+        .iter()
+        .map(|n| {
+            let m = n.metrics();
+            m.submits + m.batch_items
+        })
+        .sum();
+    assert_eq!(
+        seen,
+        snap.forwarded_total(),
+        "router claims {} forwarded but nodes saw {seen}",
+        snap.forwarded_total()
+    );
 }
 
 fn shut_down(nodes: Vec<NetServer>, proxy: NetProxy) {
@@ -87,8 +112,47 @@ fn routed_replies_are_verified_and_both_nodes_carry_traffic() {
         "the ring left a node idle: {:?}",
         snap.forwarded
     );
+    assert_nodes_saw_every_forward(&nodes, &snap);
     client.goodbye().expect("drain");
     shut_down(nodes, proxy);
+}
+
+/// Four connections pipeline `per_conn` generated programs each through
+/// the router, window-deep, across every regime; every reply verified.
+fn pipelined_routed_load(per_conn: usize) {
+    const CONNECTIONS: usize = 4;
+    let (nodes, proxy) = start_cluster(true);
+    let cases = generated_cases(0xC1_057E7, 32, 1_000_000);
+    let divergences = on_connections(proxy.addr(), CONNECTIONS, 32, |client, conn| {
+        pipeline(client, &cases, conn * per_conn..(conn + 1) * per_conn)
+    });
+    assert!(
+        divergences.is_empty(),
+        "{} divergences through the router, first: {}",
+        divergences.len(),
+        divergences[0]
+    );
+    let snap = proxy.metrics();
+    assert_eq!(snap.forwarded_total(), (CONNECTIONS * per_conn) as u64);
+    assert_eq!(snap.upstream_errors, 0);
+    assert!(
+        !snap.forwarded.contains(&0),
+        "the ring left a node idle: {:?}",
+        snap.forwarded
+    );
+    assert_nodes_saw_every_forward(&nodes, &snap);
+    shut_down(nodes, proxy);
+}
+
+#[test]
+fn pipelined_generated_load_through_the_router_verifies() {
+    pipelined_routed_load(300);
+}
+
+#[test]
+#[ignore = "10,240 routed requests; run in release by the soak workflow"]
+fn routed_cluster_sustains_ten_thousand_verified_requests() {
+    pipelined_routed_load(2560);
 }
 
 #[test]
@@ -144,6 +208,7 @@ fn batch_items_are_unbundled_and_routed_independently() {
     let snap = proxy.metrics();
     assert_eq!(snap.forwarded_total(), 12);
     assert_eq!(snap.replies, 12);
+    assert_nodes_saw_every_forward(&nodes, &snap);
     client.goodbye().expect("drain");
     shut_down(nodes, proxy);
 }
@@ -226,4 +291,65 @@ fn router_survives_node_loss_with_typed_replies() {
         "node loss must surface as typed ShutDown replies"
     );
     let _ = proxy.shutdown();
+}
+
+/// More than a thousand handshaked connections held open at once stay
+/// under the router's budget, and a healthy client still gets verified
+/// replies through the crowd.
+#[test]
+fn a_flood_of_held_connections_stays_under_budget() {
+    const FLOOD: usize = 1100;
+    let mut nodes = Vec::new();
+    let mut addrs = Vec::new();
+    for _ in 0..2 {
+        let node =
+            NetServer::start(util::small_service(1), NetConfig::default()).expect("bind node");
+        addrs.push(node.addr().to_string());
+        nodes.push(node);
+    }
+    let proxy = NetProxy::start(ProxyConfig {
+        nodes: addrs,
+        max_connections: FLOOD + 64,
+        ..ProxyConfig::default()
+    })
+    .expect("start proxy");
+
+    let held: Vec<TcpStream> = (0..FLOOD)
+        .map(|i| {
+            let stream = TcpStream::connect(proxy.addr()).expect("flood connect");
+            stream
+                .set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("timeout");
+            (&stream)
+                .write_all(&Frame::Hello { window: 1 }.encode())
+                .expect("hello");
+            let mut r = BufReader::new(&stream);
+            let Ok(Some((Frame::HelloOk { .. }, _))) = read_frame(&mut r, DEFAULT_MAX_FRAME) else {
+                panic!("flood connection {i} was refused a handshake under budget");
+            };
+            stream
+        })
+        .collect();
+    let live = proxy.metrics().connections_live;
+    assert!(
+        live >= 1024,
+        "the flood held only {live} live connections; the budget must sustain at least 1024"
+    );
+
+    let cases = generated_cases(0xC1_057E7, 8, 1_000_000);
+    let client = Client::connect(proxy.addr(), 32).expect("connect through the flood");
+    for i in 0..50 {
+        let (case, request) = nth_request(&cases, i);
+        let reply = client.call(&request).expect("reply through the flood");
+        assert_eq!(check(case, &request, &reply), None);
+    }
+    client.goodbye().expect("drain");
+    drop(held);
+
+    let snap = proxy.metrics();
+    assert_eq!(
+        snap.over_budget, 0,
+        "flood connections refused under budget"
+    );
+    shut_down(nodes, proxy);
 }

@@ -8,6 +8,7 @@ mod util;
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::Duration;
 
 use stackcache_core::EngineRegime;
@@ -15,15 +16,20 @@ use stackcache_net::{
     Client, Frame, NetConfig, NetProxy, NetServer, ProxyConfig, ReplyStatus, WireRequest,
     FEATURE_TRACE, HEADER_LEN, METRICS_FORMAT_JSON, METRICS_FORMAT_PROMETHEUS,
 };
-use stackcache_obs::{prometheus_lint, SpanIdGen, SpanKind, TraceAssembler};
+use stackcache_obs::{prometheus_lint, SpanIdGen, SpanKind, TraceAssembler, TraceTree};
 use stackcache_svc::{Service, ServiceConfig};
-use util::{quick_program, reference_outcome};
+use stackcache_vm::{program_of, Inst};
+use util::{quick_program, reference_outcome, slow_program};
 
 fn traced_node(label: &str) -> NetServer {
+    traced_node_with(label, ServiceConfig::default())
+}
+
+fn traced_node_with(label: &str, service: ServiceConfig) -> NetServer {
     let service = Service::start(ServiceConfig {
         workers: 1,
         queue_capacity: 256,
-        ..ServiceConfig::default()
+        ..service
     });
     NetServer::start(
         service,
@@ -257,12 +263,61 @@ fn unnegotiated_trace_frames_end_the_connection_with_a_typed_error() {
     let _ = node.shutdown();
 }
 
+/// A tail-sampled tree is rooted at the proxy, with one forward hop
+/// naming a ring node and that node's stage spans — queue and exec
+/// among them — parented under the hop: no orphans. `labels[i]` is the
+/// service label of ring node `i`; every span under a hop must carry
+/// the label of the node the hop names.
+fn assert_rooted(tree: &TraceTree, labels: &[&str]) {
+    assert_eq!(tree.root.span.kind, SpanKind::Root);
+    assert_eq!(tree.root.span.parent_span_id, 0);
+    assert_eq!(tree.root.span.node_str(), "proxy");
+    assert_eq!(tree.root.children.len(), 1, "one forward hop per request");
+    let forward = &tree.root.children[0];
+    assert_eq!(forward.span.kind, SpanKind::Forward);
+    let node = forward.span.attr as usize;
+    assert!(
+        node < labels.len(),
+        "hop names node {node} of {}",
+        labels.len()
+    );
+    for want in [SpanKind::Queue, SpanKind::Exec] {
+        assert!(
+            forward.children.iter().any(|c| c.span.kind == want),
+            "{want:?} stage span missing under the hop"
+        );
+    }
+    for child in &forward.children {
+        assert_eq!(
+            child.span.node_str(),
+            labels[node],
+            "{:?} span hangs under the hop to node {node}",
+            child.span.kind
+        );
+    }
+}
+
+/// The labels of the two-node rings below, in ring order.
+const RING: [&str; 2] = ["node-a", "node-b"];
+
+/// A ring node whose service stamps its spans with the node's own
+/// label, so a tree can tell which node's spans hang under a hop.
+fn labelled_node(label: &str, service: ServiceConfig) -> NetServer {
+    traced_node_with(
+        label,
+        ServiceConfig {
+            node: label.to_string(),
+            ..service
+        },
+    )
+}
+
 #[test]
 fn cluster_tail_sampling_assembles_rooted_trees() {
     let mut nodes = Vec::new();
     let mut addrs = Vec::new();
-    for label in ["node-a", "node-b"] {
-        let node = traced_node(label);
+    for label in RING {
+        let node = labelled_node(label, ServiceConfig::default());
         addrs.push(node.addr().to_string());
         nodes.push(node);
     }
@@ -284,6 +339,7 @@ fn cluster_tail_sampling_assembles_rooted_trees() {
             let request = WireRequest::new(quick_program(k), regime).fuel(100_000);
             let reply = client.call(&request).expect("reply");
             assert_eq!(reply.status, ReplyStatus::Ok);
+            assert_eq!(reply.differs_from(&reference_outcome(&request)), None);
             submitted += 1;
         }
     }
@@ -301,22 +357,23 @@ fn cluster_tail_sampling_assembles_rooted_trees() {
         snap.assembly_failures, 0,
         "every sampled trace must assemble into one rooted tree"
     );
+    // the proxy propagated every sampled trace's context upstream
+    let traced_submits: u64 = nodes.iter().map(|n| n.metrics().traced_submits).sum();
+    assert!(
+        traced_submits >= snap.sampled_traces,
+        "nodes saw {traced_submits} traced submits for {} sampled traces",
+        snap.sampled_traces
+    );
     let mut saw_node = [false, false];
     for tree in &trees {
-        assert_eq!(tree.root.span.kind, SpanKind::Root);
-        assert_eq!(tree.root.span.node_str(), "proxy");
-        assert_eq!(tree.root.children.len(), 1, "one forward hop per request");
+        assert_rooted(tree, &RING);
         let forward = &tree.root.children[0];
-        assert_eq!(forward.span.kind, SpanKind::Forward);
         saw_node[forward.span.attr as usize] = true;
         assert_eq!(
             tree.span_count, 6,
             "root + forward + the node's four stage spans"
         );
         assert_eq!(forward.children.len(), 4);
-        for child in &forward.children {
-            assert_eq!(child.span.node_str(), "svc");
-        }
         let text = tree.render_text();
         assert!(text.contains("root") && text.contains("exec"), "{text}");
     }
@@ -336,6 +393,108 @@ fn cluster_tail_sampling_assembles_rooted_trees() {
     fetcher.goodbye().expect("drain");
 
     let _ = proxy.shutdown();
+    for node in nodes {
+        let _ = node.shutdown();
+    }
+}
+
+/// The tail in tail sampling: with the slow threshold out of reach,
+/// healthy quick requests leave nothing in the store while every
+/// trapping request is captured as a rooted tree.
+#[test]
+fn tail_sampling_keeps_exactly_the_traps() {
+    const OK: usize = 8;
+    const TRAPS: usize = 4;
+    let node = traced_node("node-a");
+    let proxy = NetProxy::start(ProxyConfig {
+        nodes: vec![node.addr().to_string()],
+        node: "proxy".to_string(),
+        slow_threshold: Duration::from_secs(3600),
+        trace_store_capacity: OK + TRAPS,
+        ..ProxyConfig::default()
+    })
+    .expect("start proxy");
+
+    let client = Client::connect(proxy.addr(), 8).expect("connect");
+    for k in 0..OK {
+        let request = WireRequest::new(quick_program(k as i64), EngineRegime::Tos).fuel(100_000);
+        let reply = client.call(&request).expect("reply");
+        assert_eq!(reply.differs_from(&reference_outcome(&request)), None);
+    }
+    // a fetch far past the memory image passes static analysis but
+    // traps at runtime inside a worker: the unhappy-status trigger,
+    // with real stage spans behind it
+    let trap = WireRequest::new(
+        Arc::new(program_of(&[Inst::Lit(1 << 40), Inst::Fetch])),
+        EngineRegime::Tos,
+    )
+    .fuel(100_000);
+    for _ in 0..TRAPS {
+        let reply = client.call(&trap).expect("reply");
+        assert_eq!(reply.status, ReplyStatus::Trap);
+        assert_eq!(reply.differs_from(&reference_outcome(&trap)), None);
+    }
+    client.goodbye().expect("drain");
+
+    let trees = proxy.sampled_traces();
+    assert_eq!(trees.len(), TRAPS, "exactly the traps are sampled");
+    for tree in &trees {
+        assert_rooted(tree, &["svc"]);
+    }
+    let snap = proxy.shutdown();
+    assert_eq!(snap.sampled_traces, TRAPS as u64);
+    assert_eq!(snap.assembly_failures, 0);
+    let _ = node.shutdown();
+}
+
+/// A coalesced fanout is recorded on the exec span of every sampled
+/// tree it answered, and each of those trees is still rooted.
+#[test]
+fn sampled_trees_record_a_coalesced_fanout() {
+    let mut nodes = Vec::new();
+    let mut addrs = Vec::new();
+    for label in RING {
+        let node = labelled_node(label, ServiceConfig::default().coalescing());
+        addrs.push(node.addr().to_string());
+        nodes.push(node);
+    }
+    let proxy = NetProxy::start(ProxyConfig {
+        nodes: addrs,
+        node: "proxy".to_string(),
+        slow_threshold: Duration::ZERO,
+        trace_store_capacity: 64,
+        ..ProxyConfig::default()
+    })
+    .expect("start proxy");
+
+    let client = Client::connect(proxy.addr(), 16).expect("connect");
+    let request =
+        WireRequest::new(slow_program(150_000), EngineRegime::Reference).fuel(1_000_000_000);
+    let expected = reference_outcome(&request);
+    let pending: Vec<_> = (0..8)
+        .map(|_| client.submit(&request).expect("submit"))
+        .collect();
+    for p in pending {
+        assert_eq!(p.wait().expect("reply").differs_from(&expected), None);
+    }
+    client.goodbye().expect("drain");
+
+    let trees = proxy.sampled_traces();
+    assert_eq!(trees.len(), 8, "threshold zero samples every request");
+    for tree in &trees {
+        assert_rooted(tree, &RING);
+    }
+    assert!(
+        trees.iter().any(|t| t.root.children[0]
+            .children
+            .iter()
+            .any(|c| c.span.kind == SpanKind::Exec && c.span.attr > 0)),
+        "no sampled tree records a coalesced fanout"
+    );
+    let snap = proxy.shutdown();
+    assert_eq!(snap.assembly_failures, 0);
+    let traced_submits: u64 = nodes.iter().map(|n| n.metrics().traced_submits).sum();
+    assert!(traced_submits >= snap.sampled_traces);
     for node in nodes {
         let _ = node.shutdown();
     }

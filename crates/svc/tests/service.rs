@@ -6,8 +6,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use stackcache_core::EngineRegime;
+use stackcache_harness::{all_engines, MEMORY_BYTES};
 use stackcache_svc::{Rejection, Reply, Request, Service, ServiceConfig, SubmitError, Ticket};
-use stackcache_vm::{program_of, Inst, Program, ProgramBuilder};
+use stackcache_vm::{program_of, Inst, Machine, Program, ProgramBuilder};
 
 fn config(workers: usize, queue: usize) -> ServiceConfig {
     ServiceConfig {
@@ -368,63 +369,83 @@ fn guarded_at_first_sight() -> Arc<Program> {
     Arc::new(b.finish().unwrap())
 }
 
-/// The re-admission loop through the service: a guarded-at-first-sight
-/// workload runs with underflow checks elided only; one upgrade pass
-/// re-proves it under the deep budget; afterwards the same requests run
-/// fully unchecked with byte-identical replies, and the whole story is
-/// visible in the metrics (admission distribution and upgrade counter).
+/// The re-admission loop through the service, on every regime and four
+/// workers: a guarded-at-first-sight workload runs with underflow
+/// checks elided only; one upgrade pass re-proves every guarded cache
+/// entry under the deep budget, each with a finite fuel bound;
+/// afterwards the same requests run fully unchecked. Every completion in
+/// both phases is verified against the reference interpreter, and the
+/// whole story is visible in the metrics (admission distribution,
+/// upgrade counter, per-regime completions).
 #[test]
 fn upgrade_pass_moves_a_guarded_workload_to_the_unchecked_tier() {
-    let svc = Service::start(config(2, 64));
+    const PER_REGIME: usize = 4;
+    const REPEATS: usize = PER_REGIME * EngineRegime::ALL.len();
+    const FUEL: u64 = 10_000;
+    let svc = Service::start(config(4, 128));
     let program = guarded_at_first_sight();
-    let before: Vec<_> = (0..4)
-        .map(|_| {
-            svc.submit(Request::new(Arc::clone(&program), EngineRegime::Tos))
-                .expect("admitted")
-                .wait()
-        })
-        .collect();
+    let proto = Arc::new(Machine::with_memory(MEMORY_BYTES));
+    let expected = all_engines()[0].run_on(&program, &proto, FUEL);
+    assert_eq!(expected.trap, None);
+    let drive = |phase: &str| -> usize {
+        let tickets: Vec<Ticket> = (0..REPEATS)
+            .map(|i| {
+                let regime = EngineRegime::ALL[i % EngineRegime::ALL.len()];
+                let request = Request::new(Arc::clone(&program), regime)
+                    .on(Arc::clone(&proto))
+                    .fuel(FUEL);
+                svc.submit(request).expect("admitted")
+            })
+            .collect();
+        let mut verified = 0;
+        for t in tickets {
+            match t.wait() {
+                Reply::Completed(c) => {
+                    if let Some(diff) = expected.first_difference(&c.outcome, false) {
+                        panic!("{phase}: {diff}");
+                    }
+                    verified += 1;
+                }
+                other => panic!("{phase}: unexpected {other:?}"),
+            }
+        }
+        verified
+    };
+
+    assert_eq!(drive("guarded phase"), REPEATS);
     let m = svc.metrics();
-    assert_eq!(m.admitted_guarded, 4, "quick analysis can only guard");
+    assert_eq!(
+        m.admitted_guarded, REPEATS as u64,
+        "quick analysis can only guard"
+    );
     assert_eq!(m.admitted_unchecked, 0);
     assert_eq!(m.analysis_upgrades, 0);
 
+    // one cache entry per regime, every one upgraded with a proven
+    // finite fuel bound, and a rescan finds nothing left
     let stats = svc.upgrade_pass();
+    let entries = EngineRegime::ALL.len();
     assert_eq!(
         (stats.scanned, stats.upgraded, stats.fuel_proofs),
-        (1, 1, 1)
+        (entries, entries, entries),
+        "{stats:?}"
     );
-    let again = svc.upgrade_pass();
-    assert_eq!(again.scanned, 0, "second pass finds nothing to do");
+    let rescan = svc.upgrade_pass();
+    assert_eq!(rescan.scanned, 0, "second pass finds nothing to do");
 
-    let after: Vec<_> = (0..4)
-        .map(|_| {
-            svc.submit(Request::new(Arc::clone(&program), EngineRegime::Tos))
-                .expect("admitted")
-                .wait()
-        })
-        .collect();
-    for (b, a) in before.iter().zip(&after) {
-        match (b, a) {
-            (Reply::Completed(b), Reply::Completed(a)) => {
-                assert_eq!(b.outcome.output, a.outcome.output);
-                assert_eq!(b.outcome.stack, a.outcome.stack);
-                assert_eq!(b.outcome.trap, None);
-                assert_eq!(a.outcome.trap, None);
-            }
-            other => panic!("rejected: {other:?}"),
-        }
-    }
+    assert_eq!(drive("unchecked phase"), REPEATS);
     let m = svc.shutdown();
-    assert_eq!(m.analysis_upgrades, 1);
+    assert_eq!(m.analysis_upgrades, stats.upgraded as u64);
     assert_eq!(
-        m.admitted_unchecked, 4,
+        m.admitted_unchecked, REPEATS as u64,
         "post-upgrade requests run unchecked"
     );
-    assert_eq!(m.admitted_guarded, 4);
-    let tos = &m.regimes[EngineRegime::Tos.index()];
-    assert_eq!(tos.traps, 0, "zero divergences across the swap");
-    assert_eq!(tos.completed, 8);
+    assert_eq!(m.admitted_guarded, REPEATS as u64);
+    for regime in EngineRegime::ALL {
+        let r = &m.regimes[regime.index()];
+        assert_eq!(r.traps, 0, "{regime:?}: zero divergences across the swap");
+        assert_eq!(r.completed, 2 * PER_REGIME as u64, "{regime:?}");
+    }
 }
 
 /// The background upgrader thread performs the same swap on its own:
